@@ -77,17 +77,6 @@ void BM_Conv1dBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv1dBackward)->Apply(ThreadSweep);
 
-void BM_Conv2dForward(benchmark::State& state) {
-  ThreadArg threads(state);
-  Rng rng(2);
-  Variable x(Tensor::RandomUniform({4, 16, 12, 10}, rng), false);
-  Variable w(Tensor::RandomUniform({32, 16, 3, 3}, rng), false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ag::Conv2d(x, w).value().data());
-  }
-}
-BENCHMARK(BM_Conv2dForward)->Apply(ThreadSweep);
-
 void BM_Conv2dBackward(benchmark::State& state) {
   ThreadArg threads(state);
   Rng rng(12);
@@ -105,47 +94,26 @@ void BM_Conv2dBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackward)->Apply(ThreadSweep);
 
-void BM_Conv3dForward(benchmark::State& state) {
-  ThreadArg threads(state);
-  Rng rng(3);
-  Variable x(Tensor::RandomUniform({2, 8, 12, 10, 24}, rng), false);
-  Variable w(Tensor::RandomUniform({16, 8, 3, 3, 3}, rng), false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ag::Conv3d(x, w).value().data());
-  }
-}
-BENCHMARK(BM_Conv3dForward)->Apply(ThreadSweep);
-
-void BM_Conv3dTrainStep(benchmark::State& state) {
-  ThreadArg threads(state);
-  Rng rng(4);
-  Tensor x = Tensor::RandomUniform({2, 8, 12, 10, 24}, rng);
-  Variable w(Tensor::RandomUniform({16, 8, 3, 3, 3}, rng), true);
-  Tensor target({2, 16, 12, 10, 24}, 0.1f);
-  for (auto _ : state) {
-    w.ZeroGrad();
-    Variable loss = ag::MaeAgainst(ag::Conv3d(Variable(x), w), target);
-    Backward(loss);
-    benchmark::DoNotOptimize(w.grad().data());
-  }
-}
-BENCHMARK(BM_Conv3dTrainStep)->Apply(ThreadSweep);
-
-// --- simd backend sweep ---------------------------------------------
+// --- fast backend sweep --------------------------------------------
 //
-// The BM_*Simd benches rerun the conv/matmul shapes above on the
-// im2col + blocked-GEMM backend; comparing e.g. BM_Conv3dForwardSimd/1
-// against BM_Conv3dForward/1 (the parallel default, identical shape)
-// is the single-thread speedup number the Performance table quotes.
-// Selection is restored so later benches keep the default backend.
+// The BM_*Fast benches pin the fast backend (im2col + blocked GEMM
+// base kernels, fused graph schedule) whatever ET_BACKEND says; the
+// unsuffixed conv benches above and the overhead probes below run the
+// process default, which is also `fast` unless ET_BACKEND overrides
+// it. Selection is restored so later benches keep the default.
 class BackendArg {
  public:
-  explicit BackendArg(backend::Backend b) { backend::SetBackend(b); }
-  ~BackendArg() { backend::SetBackend(backend::Backend::kParallel); }
+  explicit BackendArg(backend::Backend b) : prev_(backend::CurrentBackend()) {
+    backend::SetBackend(b);
+  }
+  ~BackendArg() { backend::SetBackend(prev_); }
+
+ private:
+  backend::Backend prev_;
 };
 
-void BM_Conv2dForwardSimd(benchmark::State& state) {
-  BackendArg be(backend::Backend::kSimd);
+void BM_Conv2dForwardFast(benchmark::State& state) {
+  BackendArg be(backend::Backend::kFast);
   ThreadArg threads(state);
   Rng rng(2);
   Variable x(Tensor::RandomUniform({4, 16, 12, 10}, rng), false);
@@ -154,10 +122,10 @@ void BM_Conv2dForwardSimd(benchmark::State& state) {
     benchmark::DoNotOptimize(ag::Conv2d(x, w).value().data());
   }
 }
-BENCHMARK(BM_Conv2dForwardSimd)->Apply(ThreadSweep);
+BENCHMARK(BM_Conv2dForwardFast)->Apply(ThreadSweep);
 
-void BM_Conv3dForwardSimd(benchmark::State& state) {
-  BackendArg be(backend::Backend::kSimd);
+void BM_Conv3dForwardFast(benchmark::State& state) {
+  BackendArg be(backend::Backend::kFast);
   ThreadArg threads(state);
   Rng rng(3);
   Variable x(Tensor::RandomUniform({2, 8, 12, 10, 24}, rng), false);
@@ -166,10 +134,10 @@ void BM_Conv3dForwardSimd(benchmark::State& state) {
     benchmark::DoNotOptimize(ag::Conv3d(x, w).value().data());
   }
 }
-BENCHMARK(BM_Conv3dForwardSimd)->Apply(ThreadSweep);
+BENCHMARK(BM_Conv3dForwardFast)->Apply(ThreadSweep);
 
-void BM_Conv3dTrainStepSimd(benchmark::State& state) {
-  BackendArg be(backend::Backend::kSimd);
+void BM_Conv3dTrainStepFast(benchmark::State& state) {
+  BackendArg be(backend::Backend::kFast);
   ThreadArg threads(state);
   Rng rng(4);
   Tensor x = Tensor::RandomUniform({2, 8, 12, 10, 24}, rng);
@@ -182,22 +150,19 @@ void BM_Conv3dTrainStepSimd(benchmark::State& state) {
     benchmark::DoNotOptimize(w.grad().data());
   }
 }
-BENCHMARK(BM_Conv3dTrainStepSimd)->Apply(ThreadSweep);
+BENCHMARK(BM_Conv3dTrainStepFast)->Apply(ThreadSweep);
 
-// --- fused backend sweep --------------------------------------------
+// --- fused schedule ---------------------------------------------------
 //
-// The BM_*Fused benches run the same work through the static graph
-// schedule (DESIGN.md §15): conv+bias+activation collapsed into one
-// kernel call and the CDAE's dataset concat folded into the shared
-// encoder's input gather. BM_ConvBiasActSimd is the eager simd chain
-// on the identical shape, so BM_ConvBiasActFused/1 vs
-// BM_ConvBiasActSimd/1 isolates the epilogue fusion win, and
-// BM_CdaeTrainStepFused/1 vs BM_CdaeTrainStepSimd/1 is the model-level
-// number the Performance table quotes (same floats bitwise, fewer
-// intermediate tensors).
+// BM_ConvBiasActFast runs conv+bias+activation as one fused kernel
+// call; BM_ConvBiasActFastEager is the eager op chain over the same
+// base kernels on the identical shape, so the pair isolates the
+// epilogue fusion win. BM_CdaeTrainStepFast is the model-level number
+// (the sealed graph schedule, with the CDAE's dataset concat folded
+// into the shared encoder's input gather).
 
-void BM_ConvBiasActSimd(benchmark::State& state) {
-  BackendArg be(backend::Backend::kSimd);
+void BM_ConvBiasActFastEager(benchmark::State& state) {
+  BackendArg be(backend::Backend::kFast);
   ThreadArg threads(state);
   Rng rng(5);
   Variable x(Tensor::RandomUniform({2, 8, 12, 10, 24}, rng), false);
@@ -209,10 +174,10 @@ void BM_ConvBiasActSimd(benchmark::State& state) {
     benchmark::DoNotOptimize(y.value().data());
   }
 }
-BENCHMARK(BM_ConvBiasActSimd)->Apply(ThreadSweep);
+BENCHMARK(BM_ConvBiasActFastEager)->Apply(ThreadSweep);
 
-void BM_ConvBiasActFused(benchmark::State& state) {
-  BackendArg be(backend::Backend::kFused);
+void BM_ConvBiasActFast(benchmark::State& state) {
+  BackendArg be(backend::Backend::kFast);
   ThreadArg threads(state);
   Rng rng(5);
   Variable x(Tensor::RandomUniform({2, 8, 12, 10, 24}, rng), false);
@@ -223,12 +188,11 @@ void BM_ConvBiasActFused(benchmark::State& state) {
     benchmark::DoNotOptimize(y.value().data());
   }
 }
-BENCHMARK(BM_ConvBiasActFused)->Apply(ThreadSweep);
+BENCHMARK(BM_ConvBiasActFast)->Apply(ThreadSweep);
 
 // One full CDAE train step (encode through the per-dataset encoders,
 // concat, shared encoder, decode, summed MAE, backward) on a
-// paper-shaped grid. Both variants run identical float expressions;
-// the fused one goes through the sealed graph schedule.
+// paper-shaped grid, through the sealed graph schedule.
 models::CdaeConfig BenchCdaeConfig() {
   models::CdaeConfig config;
   config.grid_w = 12;
@@ -241,8 +205,8 @@ models::CdaeConfig BenchCdaeConfig() {
   return config;
 }
 
-void CdaeTrainStepBench(benchmark::State& state, backend::Backend b) {
-  BackendArg be(b);
+void BM_CdaeTrainStepFast(benchmark::State& state) {
+  BackendArg be(backend::Backend::kFast);
   ThreadArg threads(state);
   Rng rng(6);
   const std::vector<models::DatasetSpec> specs = {
@@ -267,18 +231,9 @@ void CdaeTrainStepBench(benchmark::State& state, backend::Backend b) {
     benchmark::DoNotOptimize(params[0].grad().data());
   }
 }
+BENCHMARK(BM_CdaeTrainStepFast)->Apply(ThreadSweep);
 
-void BM_CdaeTrainStepSimd(benchmark::State& state) {
-  CdaeTrainStepBench(state, backend::Backend::kSimd);
-}
-BENCHMARK(BM_CdaeTrainStepSimd)->Apply(ThreadSweep);
-
-void BM_CdaeTrainStepFused(benchmark::State& state) {
-  CdaeTrainStepBench(state, backend::Backend::kFused);
-}
-BENCHMARK(BM_CdaeTrainStepFused)->Apply(ThreadSweep);
-
-void BM_GemmRowMajorSimd(benchmark::State& state) {
+void BM_GemmRowMajorFast(benchmark::State& state) {
   ThreadArg threads(state);
   const int64_t n = state.range(1);
   Rng rng(5);
@@ -291,7 +246,7 @@ void BM_GemmRowMajorSimd(benchmark::State& state) {
     benchmark::DoNotOptimize(c.data());
   }
 }
-BENCHMARK(BM_GemmRowMajorSimd)
+BENCHMARK(BM_GemmRowMajorFast)
     ->ArgsProduct({{1, 2, 4, 8}, {64, 256}})
     ->MeasureProcessCPUTime()
     ->UseRealTime();
@@ -377,7 +332,7 @@ BENCHMARK(BM_Corrupt);
 // Observability overhead (DESIGN.md §10 contract: runtime-disabled
 // spans cost one relaxed load + branch). Arg 0 runs conv3d forward
 // with tracing runtime-disabled, Arg 1 with it enabled — comparing the
-// two against BM_Conv3dForward/1 quantifies both levels.
+// two against BM_Conv3dForwardFast/1 quantifies both levels.
 void BM_Conv3dForwardTraced(benchmark::State& state) {
   SetTracingEnabled(state.range(0) != 0);
   Rng rng(3);
@@ -398,7 +353,7 @@ BENCHMARK(BM_Conv3dForwardTraced)
 // registered, ag::Observe is one relaxed load and returns its input
 // Variable untouched). Arg 0 wraps conv3d forward in an inactive
 // observation point, Arg 1 registers a minimal hook; comparing Arg 0
-// against BM_Conv3dForward/1 is the "hooks disabled within 2%" probe
+// against BM_Conv3dForwardFast/1 is the "hooks disabled within 2%" probe
 // that bench_results/run_all.sh reports on.
 void BM_Conv3dForwardObserved(benchmark::State& state) {
   std::unique_ptr<ag::ScopedHook> hook;

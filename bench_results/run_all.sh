@@ -30,11 +30,11 @@ done
 echo "sentinel smoke exit=$? (0 = no trip)" >> bench_sentinel_smoke.log
 # Hooks-disabled overhead probe (DESIGN.md §11 acceptance: inactive
 # observation points keep conv3d forward within ~2% of the bare
-# kernel). Compares BM_Conv3dForwardObserved/0 to BM_Conv3dForward/1
+# kernel). Compares BM_Conv3dForwardObserved/0 to BM_Conv3dForwardFast/1
 # from BENCH_kernels.json; reported, not fatal — single-core CI noise
 # can exceed the bar even when the code path is a single relaxed load.
 awk -F'"' '
-  /"name": "BM_Conv3dForward\/1\/process_time\/real_time"/ { want_base = 1 }
+  /"name": "BM_Conv3dForwardFast\/1\/process_time\/real_time"/ { want_base = 1 }
   /"name": "BM_Conv3dForwardObserved\/0\/process_time\/real_time"/ { want_obs = 1 }
   /"real_time":/ {
     split($0, parts, ":"); gsub(/[ ,]/, "", parts[2])

@@ -54,8 +54,29 @@ def load(path):
     return {b["name"]: b["real_time"] for b in doc.get("benchmarks", [])
             if "aggregate_name" not in b and "real_time" in b}
 
-current = load(current_path)
-baseline = load(baseline_path)
+# Benchmarks renamed when the simd and fused backends became `fast`:
+# artifacts recorded before the rename compare under the new names.
+# (The rows of the deleted `parallel` backend have no successor.)
+RENAMED = {
+    "BM_Conv2dForwardSimd/": "BM_Conv2dForwardFast/",
+    "BM_Conv3dForwardSimd/": "BM_Conv3dForwardFast/",
+    "BM_Conv3dTrainStepSimd/": "BM_Conv3dTrainStepFast/",
+    "BM_ConvBiasActSimd/": "BM_ConvBiasActFastEager/",
+    "BM_ConvBiasActFused/": "BM_ConvBiasActFast/",
+    "BM_CdaeTrainStepFused/": "BM_CdaeTrainStepFast/",
+    "BM_GemmRowMajorSimd/": "BM_GemmRowMajorFast/",
+}
+
+
+def renamed(name):
+    for old, new in RENAMED.items():
+        if name.startswith(old):
+            return new + name[len(old):]
+    return name
+
+
+current = {renamed(name): t for name, t in load(current_path).items()}
+baseline = {renamed(name): t for name, t in load(baseline_path).items()}
 
 regressions = []
 improvements = 0

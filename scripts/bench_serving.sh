@@ -8,7 +8,9 @@
 # and writes the loadgen summary of the observed run — including the
 # server-side stage breakdown scraped from /debug/stages, the
 # client-vs-server latency reconciliation, and the measured QPS
-# overhead relative to the baseline — to BENCH_serving.json.
+# overhead relative to the baseline — to BENCH_serving.json. Every
+# process runs the default `fast` backend (ET_BACKEND is cleared so a
+# stray override cannot skew the record).
 #
 # Usage: scripts/bench_serving.sh [build-dir] [out.json]
 #   build-dir  defaults to build (a release build; do NOT point this
@@ -17,6 +19,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+unset ET_BACKEND
 BUILD_DIR="${1:-build}"
 OUT="${2:-BENCH_serving.json}"
 THREADS="${BENCH_THREADS:-8}"

@@ -123,32 +123,45 @@ fi
 
 # Backend self-verification smoke (DESIGN.md §13): a short training run
 # under --backend=check executes every conv/matmul kernel — including
-# the fused conv+bias+act dispatches, which check mode decomposes into
-# their constituent reference ops — on both backends and aborts on any
-# mismatch beyond the shape-scaled tolerance, so a broken vector or
-# fused kernel cannot hide behind a green unit suite. Runs against the
-# sanitizer build. A bad backend name must be rejected with the usage
-# exit code, not a crash.
+# the fused conv+bias+act dispatches — through the fast path AND a
+# reference decomposition, and aborts on any mismatch beyond the
+# shape-scaled tolerance, so a broken vector or fused kernel cannot
+# hide behind a green unit suite. Runs against the sanitizer build.
+# Both tools must reject the retired backend names (and any other bad
+# name) with the usage exit code and the registry's name list, not a
+# crash.
 if [[ "$QUICK" != 1 ]]; then
   echo "=== backend=check self-verification smoke ==="
   "$BUILD_DIR"/tools/equitensor_train \
     --width=6 --height=5 --days=4 --epochs=1 --steps=2 --batch=2 \
     --backend=check --output_z="$(mktemp -u).etck" >/dev/null
-  if "$BUILD_DIR"/tools/equitensor_train --backend=definitely-not-a-backend \
-       >/dev/null 2>&1; then
-    echo "check.sh: invalid --backend name was accepted" >&2
-    exit 1
-  fi
-  echo "Backend check mode OK (simd vs reference parity held)."
+  for tool in equitensor_train equitensor_serve; do
+    for name in parallel simd fused definitely-not-a-backend; do
+      status=0
+      err=$("$BUILD_DIR"/tools/$tool --backend="$name" 2>&1 >/dev/null) \
+        || status=$?
+      if [[ "$status" != 2 ]]; then
+        echo "check.sh: $tool --backend=$name exited $status (want 2)" >&2
+        exit 1
+      fi
+      if [[ "$err" != *"is not a backend (reference | fast | check)"* ]]; then
+        echo "check.sh: $tool --backend=$name error lacks the backend" \
+          "list: $err" >&2
+        exit 1
+      fi
+    done
+  done
+  echo "Backend check mode OK (fast vs reference parity held)."
 
-  # Fused-backend smoke (DESIGN.md §15): the same tiny run through the
-  # static graph schedule (fused conv+bias+act kernels, concat folded
-  # into the shared encoder's gather) under the sanitizers.
-  echo "=== backend=fused graph-schedule smoke ==="
+  # Default-backend smoke (DESIGN.md §15): the same tiny run through
+  # the fast backend's static graph schedule (fused conv+bias+act
+  # kernels, concat folded into the shared encoder's gather) under the
+  # sanitizers.
+  echo "=== backend=fast graph-schedule smoke ==="
   "$BUILD_DIR"/tools/equitensor_train \
     --width=6 --height=5 --days=4 --epochs=1 --steps=2 --batch=2 \
-    --backend=fused --output_z="$(mktemp -u).etck" >/dev/null
-  echo "Fused backend OK (graph schedule trained end to end)."
+    --backend=fast --output_z="$(mktemp -u).etck" >/dev/null
+  echo "Fast backend OK (graph schedule trained end to end)."
 
   # Serving smoke (DESIGN.md §14/§16): train a tiny model with a
   # serving bundle, bring up equitensor_serve under the sanitizers with
@@ -241,12 +254,12 @@ if [[ "$QUICK" != 1 ]]; then
     "access log valid)."
 
   # Bench smoke: the kernel benchmarks double as integration coverage
-  # for the simd and fused hot paths (packed GEMM, fused conv forward,
-  # arena leases, graph-schedule train steps) under ASan+UBSan. One
-  # short pass — we want "runs clean", not timings, so min_time is tiny.
+  # for the fast hot paths (packed GEMM, fused conv forward, arena
+  # leases, graph-schedule train steps) under ASan+UBSan. One short
+  # pass — we want "runs clean", not timings, so min_time is tiny.
   if [[ -x "$BUILD_DIR"/bench/bench_kernels ]]; then
-    echo "=== bench smoke (Simd|Fused benches under sanitizers) ==="
-    "$BUILD_DIR"/bench/bench_kernels --benchmark_filter='Simd|Fused' \
+    echo "=== bench smoke (Fast benches under sanitizers) ==="
+    "$BUILD_DIR"/bench/bench_kernels --benchmark_filter='Fast' \
       --benchmark_min_time=0.01 >/dev/null
     echo "Bench smoke OK."
   else

@@ -10,9 +10,8 @@ namespace ag {
 namespace {
 
 // The conv kernels themselves live behind the runtime backend
-// registry (nn/backend_registry.h): reference scalar loops, the
-// ParallelFor owner-computes path, and the im2col + blocked-GEMM simd
-// path, selected by --backend / ET_BACKEND. This layer validates
+// registry (nn/backend_registry.h): reference scalar loops or the fast
+// im2col + blocked-GEMM path, selected by --backend / ET_BACKEND. This layer validates
 // shapes exactly once per op — the dims structs below are the
 // pre-checked contract every backend kernel trusts — and wires the
 // dispatch into the autograd graph.
@@ -78,8 +77,8 @@ Variable MakeConv(const char* name, const Variable& x, const Variable& w,
 }
 
 // Unified fused-dispatch geometry from the per-rank validators (rank 1:
-// w = h = 1, t is time; rank 2: t = 1 — the same unification the simd
-// lowering uses).
+// w = h = 1, t is time; rank 2: t = 1 — the same unification the
+// im2col lowering uses).
 backend::ConvBiasActDims CheckCba(const Tensor& x, const Tensor& w,
                                   const Tensor& b, backend::Act act) {
   backend::ConvBiasActDims d{};

@@ -27,7 +27,7 @@ EarlyFusionCdae::EarlyFusionCdae(CdaeConfig config,
                                              rng, nn::Activation::kLinear);
 
   // Static parts→Z graph: the input concat folds into the encoder's
-  // first conv on a fused backend (DESIGN.md §15).
+  // first conv on a fused-graph backend (DESIGN.md §15).
   parts_ir_ = std::make_unique<nn::GraphIr>();
   std::vector<int> expanded_ids;
   expanded_ids.reserve(specs_.size());

@@ -3,10 +3,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <map>
-#include <mutex>
-
 #include <cstring>
+#include <map>
+#include <memory>
+#include <mutex>
 
 #include "nn/kernels_fused.h"
 #include "nn/kernels_naive.h"
@@ -19,13 +19,53 @@ namespace equitensor {
 namespace backend {
 namespace {
 
-// (op key -> backend name -> implementation). Guarded by a mutex; hot
-// dispatch never touches the map — it goes through the cached tables
-// below, rebuilt only when a registration bumps the version.
+/// Fully-resolved base-op kernel set for one executable backend.
+struct KernelTable {
+  Conv1dFwdFn conv1d_fwd;
+  Conv1dBwdFn conv1d_bwd;
+  Conv2dFwdFn conv2d_fwd;
+  Conv2dBwdFn conv2d_bwd;
+  Conv3dFwdFn conv3d_fwd;
+  Conv3dBwdFn conv3d_bwd;
+  MatMulFn matmul;
+};
+
+/// The fused-op kernels exist only under "fast" — `reference`
+/// dispatches them through the decomposition below — so they get
+/// their own table instead of rows in KernelTable (where
+/// ResolveKernel would abort for reference).
+struct FusedOpTable {
+  ConvBiasActFwdFn cba_fwd;
+  ConvBiasActBwdFn cba_bwd;
+  ConcatConvBiasActFwdFn ccba_fwd;
+  ConcatConvBiasActBwdFn ccba_bwd;
+};
+
+/// Everything a dispatch resolves, for one registry version. Check
+/// mode reads both base tables and compares.
+struct ResolvedTables {
+  uint64_t version;
+  KernelTable reference;
+  KernelTable fast;
+  FusedOpTable fused;
+};
+
+// (op key -> backend name -> implementation), guarded by `mu`. Hot
+// dispatch never touches the map or a mutex: it loads `tables` — an
+// immutable snapshot published through an atomic pointer — and only
+// rebuilds (under `rebuild_mu`) when a registration has bumped
+// `version` since the snapshot was resolved, so a test that shims a
+// kernel by re-registering sees the shim on its next dispatch.
+// Superseded snapshots stay owned by `built`, because a concurrent
+// dispatch may still be reading one; rebuilds happen once at startup
+// and then only on re-registration, so that list stays tiny.
 struct Registry {
   std::mutex mu;
   std::map<std::string, std::map<std::string, void (*)()>> ops;
   std::atomic<uint64_t> version{0};
+  std::mutex rebuild_mu;
+  std::atomic<const ResolvedTables*> tables{nullptr};
+  std::vector<std::unique_ptr<const ResolvedTables>> built;
 };
 
 Registry& GetRegistry() {
@@ -42,15 +82,18 @@ void EnsureBuiltinsRegistered() {
   RegisterFusedKernels();
 }
 
+constexpr Backend kAllBackends[] = {Backend::kReference, Backend::kFast,
+                                    Backend::kCheck};
+
 std::atomic<int> g_backend{-1};  // -1 = unset, else static_cast<Backend>
 
 Backend BackendFromEnv() {
   const char* env = std::getenv("ET_BACKEND");
-  if (env == nullptr || env[0] == '\0') return Backend::kParallel;
+  if (env == nullptr || env[0] == '\0') return Backend::kFast;
   Backend b;
   ET_CHECK(ParseBackend(env, &b))
-      << "ET_BACKEND=" << env
-      << " is not a backend (reference | parallel | simd | check | fused)";
+      << "ET_BACKEND=" << env << " is not a backend (" << BackendNameList()
+      << ")";
   return b;
 }
 
@@ -65,18 +108,6 @@ Backend ActiveBackend() {
   return static_cast<Backend>(b);
 }
 
-/// Fully-resolved kernel set for one executable backend. Check mode
-/// resolves the reference and simd tables and compares.
-struct KernelTable {
-  Conv1dFwdFn conv1d_fwd;
-  Conv1dBwdFn conv1d_bwd;
-  Conv2dFwdFn conv2d_fwd;
-  Conv2dBwdFn conv2d_bwd;
-  Conv3dFwdFn conv3d_fwd;
-  Conv3dBwdFn conv3d_bwd;
-  MatMulFn matmul;
-};
-
 KernelTable BuildTable(const char* name) {
   KernelTable t;
   t.conv1d_fwd = ResolveKernelFn<Conv1dFwdFn>("conv1d_fwd", name);
@@ -89,59 +120,62 @@ KernelTable BuildTable(const char* name) {
   return t;
 }
 
-// Table cache: rebuilt when the registry version moves (tests shimming
-// kernels via re-registration take effect on their next dispatch).
+const ResolvedTables& RebuildTables() {
+  EnsureBuiltinsRegistered();
+  Registry& r = GetRegistry();
+  std::lock_guard<std::mutex> lock(r.rebuild_mu);
+  // Tag the snapshot with the version read BEFORE resolving: a
+  // registration racing with this build leaves the tag stale, so the
+  // next dispatch rebuilds again.
+  const uint64_t v = r.version.load(std::memory_order_acquire);
+  const ResolvedTables* current = r.tables.load(std::memory_order_acquire);
+  if (current != nullptr && current->version == v) return *current;
+  auto t = std::make_unique<ResolvedTables>();
+  t->version = v;
+  t->reference = BuildTable("reference");
+  t->fast = BuildTable("fast");
+  t->fused.cba_fwd =
+      ResolveKernelFn<ConvBiasActFwdFn>("conv_bias_act_fwd", "fast");
+  t->fused.cba_bwd =
+      ResolveKernelFn<ConvBiasActBwdFn>("conv_bias_act_bwd", "fast");
+  t->fused.ccba_fwd = ResolveKernelFn<ConcatConvBiasActFwdFn>(
+      "concat_conv_bias_act_fwd", "fast");
+  t->fused.ccba_bwd = ResolveKernelFn<ConcatConvBiasActBwdFn>(
+      "concat_conv_bias_act_bwd", "fast");
+  const ResolvedTables* published = t.get();
+  r.built.push_back(std::move(t));
+  r.tables.store(published, std::memory_order_release);
+  return *published;
+}
+
+const ResolvedTables& Tables() {
+  Registry& r = GetRegistry();
+  const ResolvedTables* t = r.tables.load(std::memory_order_acquire);
+  if (t != nullptr &&
+      t->version == r.version.load(std::memory_order_acquire)) {
+    return *t;
+  }
+  return RebuildTables();
+}
+
 const KernelTable& TableFor(Backend b) {
   ET_CHECK(b != Backend::kCheck) << "check mode has no single table";
-  static std::mutex mu;
-  static uint64_t cached_version = ~uint64_t{0};
-  static KernelTable tables[5];  // indexed by Backend value; kCheck unused
-  EnsureBuiltinsRegistered();
-  std::lock_guard<std::mutex> lock(mu);
-  const uint64_t v = GetRegistry().version.load(std::memory_order_acquire);
-  if (v != cached_version) {
-    tables[0] = BuildTable("reference");
-    tables[1] = BuildTable("parallel");
-    tables[2] = BuildTable("simd");
-    tables[static_cast<int>(Backend::kFused)] = BuildTable("fused");
-    cached_version = v;
-  }
-  return tables[static_cast<int>(b)];
+  const ResolvedTables& t = Tables();
+  return b == Backend::kReference ? t.reference : t.fast;
 }
 
-/// The fused-op kernels exist only under the "fused" backend name —
-/// every other backend dispatches them through the decomposition
-/// below — so they get their own cached table instead of rows in
-/// KernelTable (where ResolveKernel would abort for reference/
-/// parallel/simd).
-struct FusedOpTable {
-  ConvBiasActFwdFn cba_fwd;
-  ConvBiasActBwdFn cba_bwd;
-  ConcatConvBiasActFwdFn ccba_fwd;
-  ConcatConvBiasActBwdFn ccba_bwd;
-};
+const FusedOpTable& FusedOps() { return Tables().fused; }
 
-const FusedOpTable& FusedOps() {
-  static std::mutex mu;
-  static uint64_t cached_version = ~uint64_t{0};
-  static FusedOpTable t;
-  EnsureBuiltinsRegistered();
-  std::lock_guard<std::mutex> lock(mu);
-  const uint64_t v = GetRegistry().version.load(std::memory_order_acquire);
-  if (v != cached_version) {
-    t.cba_fwd = ResolveKernelFn<ConvBiasActFwdFn>("conv_bias_act_fwd", "fused");
-    t.cba_bwd = ResolveKernelFn<ConvBiasActBwdFn>("conv_bias_act_bwd", "fused");
-    t.ccba_fwd = ResolveKernelFn<ConcatConvBiasActFwdFn>(
-        "concat_conv_bias_act_fwd", "fused");
-    t.ccba_bwd = ResolveKernelFn<ConcatConvBiasActBwdFn>(
-        "concat_conv_bias_act_bwd", "fused");
-    cached_version = v;
-  }
-  return t;
-}
+// What check mode compared, for its failure text: the base ops run the
+// fast im2col + GEMM kernels against the reference loops, the fused
+// ops the fused fast kernels against their reference decomposition.
+constexpr const char* kBaseOpPaths =
+    "the fast kernel diverges from the reference kernel";
+constexpr const char* kFusedOpPaths =
+    "the fused fast kernel diverges from its reference decomposition";
 
-void CompareOrDie(const char* op, const Tensor& ref, const Tensor& got,
-                  int64_t reduction_length) {
+void CompareOrDie(const char* op, const char* paths, const Tensor& ref,
+                  const Tensor& got, int64_t reduction_length) {
   ET_CHECK(ref.SameShape(got));
   const float tol = CheckTolerance(reduction_length, ref.AbsMax());
   float max_diff = 0.0f;
@@ -154,61 +188,61 @@ void CompareOrDie(const char* op, const Tensor& ref, const Tensor& got,
     }
   }
   ET_CHECK(max_diff <= tol)
-      << "backend check failed for " << op << ": simd diverges from "
-      << "reference by " << max_diff << " (tolerance " << tol
-      << ") at linear index " << where << ", shape " << ref.ShapeString();
+      << "backend check failed for " << op << ": " << paths << " by "
+      << max_diff << " (tolerance " << tol << ") at linear index " << where
+      << ", shape " << ref.ShapeString();
   ET_METRIC_COUNTER_ADD("backend.check.passes", 1);
 }
 
-// Check-mode conv dispatch: run reference and simd into separate
-// buffers, compare within the documented bound, keep the simd result.
+// Check-mode conv dispatch: run reference and fast into separate
+// buffers, compare within the documented bound, keep the fast result.
 // Backward kernels accumulate, so the comparison runs on zeroed temps
 // which are then added into the caller's gradients. Check mode is a
 // verification mode — its extra buffers are ordinary allocations, not
 // arena leases, and its cost is ~2x plus a compare.
 template <typename Dims, typename FwdFn>
-void CheckedConvFwd(const char* op, FwdFn ref_fn, FwdFn simd_fn,
+void CheckedConvFwd(const char* op, FwdFn ref_fn, FwdFn fast_fn,
                     const Dims& d, const Tensor& x, const Tensor& w,
                     Tensor* out, int64_t reduction) {
   Tensor ref(out->shape());
   ref_fn(d, x, w, &ref);
-  simd_fn(d, x, w, out);
-  CompareOrDie(op, ref, *out, reduction);
+  fast_fn(d, x, w, out);
+  CompareOrDie(op, kBaseOpPaths, ref, *out, reduction);
 }
 
 template <typename Dims, typename BwdFn>
-void CheckedConvBwd(const char* op, BwdFn ref_fn, BwdFn simd_fn,
+void CheckedConvBwd(const char* op, BwdFn ref_fn, BwdFn fast_fn,
                     const Dims& d, const Tensor& x, const Tensor& w,
                     const Tensor& gout, Tensor* gx, Tensor* gw,
                     int64_t gx_reduction, int64_t gw_reduction) {
-  Tensor ref_gx, ref_gw, simd_gx, simd_gw;
+  Tensor ref_gx, ref_gw, fast_gx, fast_gw;
   if (gx) {
     ref_gx = Tensor(x.shape());
-    simd_gx = Tensor(x.shape());
+    fast_gx = Tensor(x.shape());
   }
   if (gw) {
     ref_gw = Tensor(w.shape());
-    simd_gw = Tensor(w.shape());
+    fast_gw = Tensor(w.shape());
   }
   ref_fn(d, x, w, gout, gx ? &ref_gx : nullptr, gw ? &ref_gw : nullptr);
-  simd_fn(d, x, w, gout, gx ? &simd_gx : nullptr, gw ? &simd_gw : nullptr);
+  fast_fn(d, x, w, gout, gx ? &fast_gx : nullptr, gw ? &fast_gw : nullptr);
   if (gx) {
-    CompareOrDie(op, ref_gx, simd_gx, gx_reduction);
-    for (int64_t i = 0; i < gx->size(); ++i) (*gx)[i] += simd_gx[i];
+    CompareOrDie(op, kBaseOpPaths, ref_gx, fast_gx, gx_reduction);
+    for (int64_t i = 0; i < gx->size(); ++i) (*gx)[i] += fast_gx[i];
   }
   if (gw) {
-    CompareOrDie(op, ref_gw, simd_gw, gw_reduction);
-    for (int64_t i = 0; i < gw->size(); ++i) (*gw)[i] += simd_gw[i];
+    CompareOrDie(op, kBaseOpPaths, ref_gw, fast_gw, gw_reduction);
+    for (int64_t i = 0; i < gw->size(); ++i) (*gw)[i] += fast_gw[i];
   }
 }
 
 // ---------------------------------------------------------------------------
-// Fused-op decomposition. Non-fused backends execute a fused dispatch
-// as its constituent ops: conv through the backend's kernel table,
-// bias/activation/bias-grad through the shared eager-expression
+// Fused-op decomposition. The reference backend executes a fused
+// dispatch as its constituent ops: conv through the reference kernel
+// table, bias/activation/bias-grad through the shared eager-expression
 // helpers (kernels_fused.h). The result is bitwise equal to the eager
-// op chain on that backend — and the kReference instantiation doubles
-// as the oracle check mode replays every fused dispatch against.
+// op chain on reference — and it doubles as the oracle check mode
+// replays every fused dispatch against.
 
 Conv1dDims To1d(const ConvBiasActDims& d) {
   return {d.batch, d.cin, d.t, d.cout, d.k, d.pad};
@@ -253,8 +287,9 @@ Tensor MaterializeConcat(const ConvBiasActDims& d,
   return merged;
 }
 
-void DecomposedConvFwd(const KernelTable& t, const ConvBiasActDims& d,
-                       const Tensor& x, const Tensor& w, Tensor* out) {
+void DecomposedConvFwd(const ConvBiasActDims& d, const Tensor& x,
+                       const Tensor& w, Tensor* out) {
+  const KernelTable& t = TableFor(Backend::kReference);
   switch (d.rank) {
     case 1:
       t.conv1d_fwd(To1d(d), x, w, out);
@@ -268,9 +303,10 @@ void DecomposedConvFwd(const KernelTable& t, const ConvBiasActDims& d,
   }
 }
 
-void DecomposedConvBwd(const KernelTable& t, const ConvBiasActDims& d,
-                       const Tensor& x, const Tensor& w, const Tensor& gout,
-                       Tensor* gx, Tensor* gw) {
+void DecomposedConvBwd(const ConvBiasActDims& d, const Tensor& x,
+                       const Tensor& w, const Tensor& gout, Tensor* gx,
+                       Tensor* gw) {
+  const KernelTable& t = TableFor(Backend::kReference);
   switch (d.rank) {
     case 1:
       t.conv1d_bwd(To1d(d), x, w, gout, gx, gw);
@@ -284,14 +320,14 @@ void DecomposedConvBwd(const KernelTable& t, const ConvBiasActDims& d,
   }
 }
 
-void DecomposedCbaFwd(Backend b, const ConvBiasActDims& d, const Tensor& x,
+void DecomposedCbaFwd(const ConvBiasActDims& d, const Tensor& x,
                       const Tensor& w, const Tensor& bias, Tensor* out) {
   // The fused op overwrites `out`; the base conv kernels add into a
   // zeroed buffer, so clear first (in check mode the caller's buffer
   // already holds the fused result).
   std::memset(out->data(), 0,
               static_cast<size_t>(out->size()) * sizeof(float));
-  DecomposedConvFwd(TableFor(b), d, x, w, out);
+  DecomposedConvFwd(d, x, w, out);
   FusedBiasActEpilogue(d.act, d.batch, d.cout, FusedSpatialVolume(d),
                        bias.data(), out->data());
 }
@@ -300,7 +336,7 @@ void DecomposedCbaFwd(Backend b, const ConvBiasActDims& d, const Tensor& x,
 // (whichever kernel produced it), exactly like the eager activation
 // backward — so in check mode the fused and reference paths share one
 // relu mask and differences reflect conv associativity only.
-void DecomposedCbaBwd(Backend b, const ConvBiasActDims& d, const Tensor& x,
+void DecomposedCbaBwd(const ConvBiasActDims& d, const Tensor& x,
                       const Tensor& w, const Tensor& y, const Tensor& gout,
                       Tensor* gx, Tensor* gw, Tensor* gb) {
   const int64_t pvol = FusedSpatialVolume(d);
@@ -314,17 +350,17 @@ void DecomposedCbaBwd(Backend b, const ConvBiasActDims& d, const Tensor& x,
   if (gb) {
     FusedAccumulateBiasGrad(d.batch, d.cout, pvol, gpre->data(), gb->data());
   }
-  if (gx || gw) DecomposedConvBwd(TableFor(b), d, x, w, *gpre, gx, gw);
+  if (gx || gw) DecomposedConvBwd(d, x, w, *gpre, gx, gw);
 }
 
-void DecomposedCcbaFwd(Backend b, const ConvBiasActDims& d,
+void DecomposedCcbaFwd(const ConvBiasActDims& d,
                        const std::vector<const Tensor*>& parts, const Tensor& w,
                        const Tensor& bias, Tensor* out) {
   const Tensor merged = MaterializeConcat(d, parts);
-  DecomposedCbaFwd(b, d, merged, w, bias, out);
+  DecomposedCbaFwd(d, merged, w, bias, out);
 }
 
-void DecomposedCcbaBwd(Backend b, const ConvBiasActDims& d,
+void DecomposedCcbaBwd(const ConvBiasActDims& d,
                        const std::vector<const Tensor*>& parts, const Tensor& w,
                        const Tensor& y, const Tensor& gout,
                        const std::vector<Tensor*>& gparts, Tensor* gw,
@@ -335,7 +371,7 @@ void DecomposedCcbaBwd(Backend b, const ConvBiasActDims& d,
   const Tensor merged = MaterializeConcat(d, parts);
   Tensor gx_merged;
   if (any_gx) gx_merged = Tensor(merged.shape());
-  DecomposedCbaBwd(b, d, merged, w, y, gout, any_gx ? &gx_merged : nullptr, gw,
+  DecomposedCbaBwd(d, merged, w, y, gout, any_gx ? &gx_merged : nullptr, gw,
                    gb);
   if (!any_gx) return;
   // Eager concat backward: each part receives its channel slice of the
@@ -392,36 +428,40 @@ std::vector<std::pair<std::string, std::string>> ListKernels() {
 }
 
 bool ParseBackend(const std::string& name, Backend* out) {
-  if (name == "reference") {
-    *out = Backend::kReference;
-  } else if (name == "parallel") {
-    *out = Backend::kParallel;
-  } else if (name == "simd") {
-    *out = Backend::kSimd;
-  } else if (name == "check") {
-    *out = Backend::kCheck;
-  } else if (name == "fused") {
-    *out = Backend::kFused;
-  } else {
-    return false;
+  for (const Backend b : kAllBackends) {
+    if (name == BackendName(b)) {
+      *out = b;
+      return true;
+    }
   }
-  return true;
+  return false;
 }
 
 const char* BackendName(Backend b) {
   switch (b) {
     case Backend::kReference:
       return "reference";
-    case Backend::kParallel:
-      return "parallel";
-    case Backend::kSimd:
-      return "simd";
+    case Backend::kFast:
+      return "fast";
     case Backend::kCheck:
       return "check";
-    case Backend::kFused:
-      return "fused";
   }
   return "unknown";
+}
+
+std::vector<std::string> BackendNames() {
+  std::vector<std::string> names;
+  for (const Backend b : kAllBackends) names.emplace_back(BackendName(b));
+  return names;
+}
+
+std::string BackendNameList() {
+  std::string list;
+  for (const std::string& name : BackendNames()) {
+    if (!list.empty()) list += " | ";
+    list += name;
+  }
+  return list;
 }
 
 void SetBackend(Backend b) {
@@ -448,7 +488,7 @@ void Conv1dForward(const Conv1dDims& d, const Tensor& x, const Tensor& w,
   const Backend b = ActiveBackend();
   if (b == Backend::kCheck) {
     CheckedConvFwd("conv1d_fwd", TableFor(Backend::kReference).conv1d_fwd,
-                   TableFor(Backend::kSimd).conv1d_fwd, d, x, w, out,
+                   TableFor(Backend::kFast).conv1d_fwd, d, x, w, out,
                    d.cin * d.k);
     return;
   }
@@ -460,7 +500,7 @@ void Conv1dBackward(const Conv1dDims& d, const Tensor& x, const Tensor& w,
   const Backend b = ActiveBackend();
   if (b == Backend::kCheck) {
     CheckedConvBwd("conv1d_bwd", TableFor(Backend::kReference).conv1d_bwd,
-                   TableFor(Backend::kSimd).conv1d_bwd, d, x, w, gout, gx, gw,
+                   TableFor(Backend::kFast).conv1d_bwd, d, x, w, gout, gx, gw,
                    d.cout * d.k, d.batch * d.t);
     return;
   }
@@ -472,7 +512,7 @@ void Conv2dForward(const Conv2dDims& d, const Tensor& x, const Tensor& w,
   const Backend b = ActiveBackend();
   if (b == Backend::kCheck) {
     CheckedConvFwd("conv2d_fwd", TableFor(Backend::kReference).conv2d_fwd,
-                   TableFor(Backend::kSimd).conv2d_fwd, d, x, w, out,
+                   TableFor(Backend::kFast).conv2d_fwd, d, x, w, out,
                    d.cin * d.k * d.k);
     return;
   }
@@ -484,7 +524,7 @@ void Conv2dBackward(const Conv2dDims& d, const Tensor& x, const Tensor& w,
   const Backend b = ActiveBackend();
   if (b == Backend::kCheck) {
     CheckedConvBwd("conv2d_bwd", TableFor(Backend::kReference).conv2d_bwd,
-                   TableFor(Backend::kSimd).conv2d_bwd, d, x, w, gout, gx, gw,
+                   TableFor(Backend::kFast).conv2d_bwd, d, x, w, gout, gx, gw,
                    d.cout * d.k * d.k, d.batch * d.w * d.h);
     return;
   }
@@ -496,7 +536,7 @@ void Conv3dForward(const Conv3dDims& d, const Tensor& x, const Tensor& w,
   const Backend b = ActiveBackend();
   if (b == Backend::kCheck) {
     CheckedConvFwd("conv3d_fwd", TableFor(Backend::kReference).conv3d_fwd,
-                   TableFor(Backend::kSimd).conv3d_fwd, d, x, w, out,
+                   TableFor(Backend::kFast).conv3d_fwd, d, x, w, out,
                    d.cin * d.k * d.k * d.k);
     return;
   }
@@ -508,7 +548,7 @@ void Conv3dBackward(const Conv3dDims& d, const Tensor& x, const Tensor& w,
   const Backend b = ActiveBackend();
   if (b == Backend::kCheck) {
     CheckedConvBwd("conv3d_bwd", TableFor(Backend::kReference).conv3d_bwd,
-                   TableFor(Backend::kSimd).conv3d_bwd, d, x, w, gout, gx, gw,
+                   TableFor(Backend::kFast).conv3d_bwd, d, x, w, gout, gx, gw,
                    d.cout * d.k * d.k * d.k, d.batch * d.w * d.h * d.t);
     return;
   }
@@ -521,91 +561,88 @@ void MatMul(const MatMulSpec& spec, const float* a, const float* b, float* c) {
     MatMulSpec fresh = spec;
     fresh.accumulate = false;
     Tensor ref({spec.m, spec.n});
-    Tensor simd({spec.m, spec.n});
+    Tensor fast({spec.m, spec.n});
     TableFor(Backend::kReference).matmul(fresh, a, b, ref.data());
-    TableFor(Backend::kSimd).matmul(fresh, a, b, simd.data());
-    CompareOrDie("matmul", ref, simd, spec.k);
+    TableFor(Backend::kFast).matmul(fresh, a, b, fast.data());
+    CompareOrDie("matmul", kBaseOpPaths, ref, fast, spec.k);
     if (spec.accumulate) {
-      for (int64_t i = 0; i < simd.size(); ++i) c[i] += simd[i];
+      for (int64_t i = 0; i < fast.size(); ++i) c[i] += fast[i];
     } else {
-      for (int64_t i = 0; i < simd.size(); ++i) c[i] = simd[i];
+      for (int64_t i = 0; i < fast.size(); ++i) c[i] = fast[i];
     }
     return;
   }
   TableFor(be).matmul(spec, a, b, c);
 }
 
-bool FusedGraphActive() {
-  const Backend b = ActiveBackend();
-  return b == Backend::kFused || b == Backend::kCheck;
-}
+bool FusedGraphActive() { return ActiveBackend() != Backend::kReference; }
 
 void ConvBiasActForward(const ConvBiasActDims& d, const Tensor& x,
                         const Tensor& w, const Tensor& bias, Tensor* out) {
   const Backend b = ActiveBackend();
-  if (b == Backend::kFused) {
-    FusedOps().cba_fwd(d, x, w, bias, out);
+  if (b == Backend::kReference) {
+    DecomposedCbaFwd(d, x, w, bias, out);
     return;
   }
+  FusedOps().cba_fwd(d, x, w, bias, out);
   if (b == Backend::kCheck) {
-    FusedOps().cba_fwd(d, x, w, bias, out);
     Tensor ref(out->shape());
-    DecomposedCbaFwd(Backend::kReference, d, x, w, bias, &ref);
+    DecomposedCbaFwd(d, x, w, bias, &ref);
     // +1 term: the bias add on top of the cin·k^rank conv reduction.
-    CompareOrDie("conv_bias_act_fwd", ref, *out,
+    CompareOrDie("conv_bias_act_fwd", kFusedOpPaths, ref, *out,
                  d.cin * FusedKernelVolume(d) + 1);
-    return;
   }
-  DecomposedCbaFwd(b, d, x, w, bias, out);
 }
 
 void ConvBiasActBackward(const ConvBiasActDims& d, const Tensor& x,
                          const Tensor& w, const Tensor& y, const Tensor& gout,
                          Tensor* gx, Tensor* gw, Tensor* gb) {
   const Backend b = ActiveBackend();
-  if (b == Backend::kFused) {
+  if (b == Backend::kReference) {
+    DecomposedCbaBwd(d, x, w, y, gout, gx, gw, gb);
+    return;
+  }
+  if (b == Backend::kFast) {
     FusedOps().cba_bwd(d, x, w, y, gout, gx, gw, gb);
     return;
   }
-  if (b == Backend::kCheck) {
-    // The fused backward accumulates, so both paths run on zeroed
-    // temps; the fused results are compared then added into the
-    // caller's gradients.
-    Tensor f_gx, f_gw, f_gb, r_gx, r_gw, r_gb;
-    if (gx) {
-      f_gx = Tensor(x.shape());
-      r_gx = Tensor(x.shape());
-    }
-    if (gw) {
-      f_gw = Tensor(w.shape());
-      r_gw = Tensor(w.shape());
-    }
-    if (gb) {
-      f_gb = Tensor({d.cout});
-      r_gb = Tensor({d.cout});
-    }
-    FusedOps().cba_bwd(d, x, w, y, gout, gx ? &f_gx : nullptr,
-                       gw ? &f_gw : nullptr, gb ? &f_gb : nullptr);
-    DecomposedCbaBwd(Backend::kReference, d, x, w, y, gout,
-                     gx ? &r_gx : nullptr, gw ? &r_gw : nullptr,
-                     gb ? &r_gb : nullptr);
-    const int64_t kvol = FusedKernelVolume(d);
-    const int64_t pvol = FusedSpatialVolume(d);
-    if (gx) {
-      CompareOrDie("conv_bias_act_bwd", r_gx, f_gx, d.cout * kvol);
-      for (int64_t i = 0; i < gx->size(); ++i) (*gx)[i] += f_gx[i];
-    }
-    if (gw) {
-      CompareOrDie("conv_bias_act_bwd", r_gw, f_gw, d.batch * pvol);
-      for (int64_t i = 0; i < gw->size(); ++i) (*gw)[i] += f_gw[i];
-    }
-    if (gb) {
-      CompareOrDie("conv_bias_act_bwd", r_gb, f_gb, d.batch * pvol);
-      for (int64_t i = 0; i < gb->size(); ++i) (*gb)[i] += f_gb[i];
-    }
-    return;
+  // Check: the fused backward accumulates, so both paths run on zeroed
+  // temps; the fused results are compared then added into the caller's
+  // gradients.
+  Tensor f_gx, f_gw, f_gb, r_gx, r_gw, r_gb;
+  if (gx) {
+    f_gx = Tensor(x.shape());
+    r_gx = Tensor(x.shape());
   }
-  DecomposedCbaBwd(b, d, x, w, y, gout, gx, gw, gb);
+  if (gw) {
+    f_gw = Tensor(w.shape());
+    r_gw = Tensor(w.shape());
+  }
+  if (gb) {
+    f_gb = Tensor({d.cout});
+    r_gb = Tensor({d.cout});
+  }
+  FusedOps().cba_bwd(d, x, w, y, gout, gx ? &f_gx : nullptr,
+                     gw ? &f_gw : nullptr, gb ? &f_gb : nullptr);
+  DecomposedCbaBwd(d, x, w, y, gout, gx ? &r_gx : nullptr,
+                   gw ? &r_gw : nullptr, gb ? &r_gb : nullptr);
+  const int64_t kvol = FusedKernelVolume(d);
+  const int64_t pvol = FusedSpatialVolume(d);
+  if (gx) {
+    CompareOrDie("conv_bias_act_bwd", kFusedOpPaths, r_gx, f_gx,
+                 d.cout * kvol);
+    for (int64_t i = 0; i < gx->size(); ++i) (*gx)[i] += f_gx[i];
+  }
+  if (gw) {
+    CompareOrDie("conv_bias_act_bwd", kFusedOpPaths, r_gw, f_gw,
+                 d.batch * pvol);
+    for (int64_t i = 0; i < gw->size(); ++i) (*gw)[i] += f_gw[i];
+  }
+  if (gb) {
+    CompareOrDie("conv_bias_act_bwd", kFusedOpPaths, r_gb, f_gb,
+                 d.batch * pvol);
+    for (int64_t i = 0; i < gb->size(); ++i) (*gb)[i] += f_gb[i];
+  }
 }
 
 void ConcatConvBiasActForward(const ConvBiasActDims& d,
@@ -613,19 +650,17 @@ void ConcatConvBiasActForward(const ConvBiasActDims& d,
                               const Tensor& w, const Tensor& bias,
                               Tensor* out) {
   const Backend b = ActiveBackend();
-  if (b == Backend::kFused) {
-    FusedOps().ccba_fwd(d, parts, w, bias, out);
+  if (b == Backend::kReference) {
+    DecomposedCcbaFwd(d, parts, w, bias, out);
     return;
   }
+  FusedOps().ccba_fwd(d, parts, w, bias, out);
   if (b == Backend::kCheck) {
-    FusedOps().ccba_fwd(d, parts, w, bias, out);
     Tensor ref(out->shape());
-    DecomposedCcbaFwd(Backend::kReference, d, parts, w, bias, &ref);
-    CompareOrDie("concat_conv_bias_act_fwd", ref, *out,
+    DecomposedCcbaFwd(d, parts, w, bias, &ref);
+    CompareOrDie("concat_conv_bias_act_fwd", kFusedOpPaths, ref, *out,
                  d.cin * FusedKernelVolume(d) + 1);
-    return;
   }
-  DecomposedCcbaFwd(b, d, parts, w, bias, out);
 }
 
 void ConcatConvBiasActBackward(const ConvBiasActDims& d,
@@ -635,56 +670,57 @@ void ConcatConvBiasActBackward(const ConvBiasActDims& d,
                                const std::vector<Tensor*>& gparts, Tensor* gw,
                                Tensor* gb) {
   const Backend b = ActiveBackend();
-  if (b == Backend::kFused) {
+  if (b == Backend::kReference) {
+    DecomposedCcbaBwd(d, parts, w, y, gout, gparts, gw, gb);
+    return;
+  }
+  if (b == Backend::kFast) {
     FusedOps().ccba_bwd(d, parts, w, y, gout, gparts, gw, gb);
     return;
   }
-  if (b == Backend::kCheck) {
-    std::vector<Tensor> f_gp_store(parts.size()), r_gp_store(parts.size());
-    std::vector<Tensor*> f_gp(parts.size(), nullptr),
-        r_gp(parts.size(), nullptr);
-    for (size_t i = 0; i < parts.size(); ++i) {
-      if (gparts[i] != nullptr) {
-        f_gp_store[i] = Tensor(parts[i]->shape());
-        r_gp_store[i] = Tensor(parts[i]->shape());
-        f_gp[i] = &f_gp_store[i];
-        r_gp[i] = &r_gp_store[i];
-      }
+  std::vector<Tensor> f_gp_store(parts.size()), r_gp_store(parts.size());
+  std::vector<Tensor*> f_gp(parts.size(), nullptr), r_gp(parts.size(), nullptr);
+  for (size_t i = 0; i < parts.size(); ++i) {
+    if (gparts[i] != nullptr) {
+      f_gp_store[i] = Tensor(parts[i]->shape());
+      r_gp_store[i] = Tensor(parts[i]->shape());
+      f_gp[i] = &f_gp_store[i];
+      r_gp[i] = &r_gp_store[i];
     }
-    Tensor f_gw, f_gb, r_gw, r_gb;
-    if (gw) {
-      f_gw = Tensor(w.shape());
-      r_gw = Tensor(w.shape());
-    }
-    if (gb) {
-      f_gb = Tensor({d.cout});
-      r_gb = Tensor({d.cout});
-    }
-    FusedOps().ccba_bwd(d, parts, w, y, gout, f_gp, gw ? &f_gw : nullptr,
-                        gb ? &f_gb : nullptr);
-    DecomposedCcbaBwd(Backend::kReference, d, parts, w, y, gout, r_gp,
-                      gw ? &r_gw : nullptr, gb ? &r_gb : nullptr);
-    const int64_t kvol = FusedKernelVolume(d);
-    const int64_t pvol = FusedSpatialVolume(d);
-    for (size_t i = 0; i < parts.size(); ++i) {
-      if (gparts[i] == nullptr) continue;
-      CompareOrDie("concat_conv_bias_act_bwd", r_gp_store[i], f_gp_store[i],
-                   d.cout * kvol);
-      for (int64_t j = 0; j < gparts[i]->size(); ++j) {
-        (*gparts[i])[j] += f_gp_store[i][j];
-      }
-    }
-    if (gw) {
-      CompareOrDie("concat_conv_bias_act_bwd", r_gw, f_gw, d.batch * pvol);
-      for (int64_t i = 0; i < gw->size(); ++i) (*gw)[i] += f_gw[i];
-    }
-    if (gb) {
-      CompareOrDie("concat_conv_bias_act_bwd", r_gb, f_gb, d.batch * pvol);
-      for (int64_t i = 0; i < gb->size(); ++i) (*gb)[i] += f_gb[i];
-    }
-    return;
   }
-  DecomposedCcbaBwd(b, d, parts, w, y, gout, gparts, gw, gb);
+  Tensor f_gw, f_gb, r_gw, r_gb;
+  if (gw) {
+    f_gw = Tensor(w.shape());
+    r_gw = Tensor(w.shape());
+  }
+  if (gb) {
+    f_gb = Tensor({d.cout});
+    r_gb = Tensor({d.cout});
+  }
+  FusedOps().ccba_bwd(d, parts, w, y, gout, f_gp, gw ? &f_gw : nullptr,
+                      gb ? &f_gb : nullptr);
+  DecomposedCcbaBwd(d, parts, w, y, gout, r_gp, gw ? &r_gw : nullptr,
+                    gb ? &r_gb : nullptr);
+  const int64_t kvol = FusedKernelVolume(d);
+  const int64_t pvol = FusedSpatialVolume(d);
+  for (size_t i = 0; i < parts.size(); ++i) {
+    if (gparts[i] == nullptr) continue;
+    CompareOrDie("concat_conv_bias_act_bwd", kFusedOpPaths, r_gp_store[i],
+                 f_gp_store[i], d.cout * kvol);
+    for (int64_t j = 0; j < gparts[i]->size(); ++j) {
+      (*gparts[i])[j] += f_gp_store[i][j];
+    }
+  }
+  if (gw) {
+    CompareOrDie("concat_conv_bias_act_bwd", kFusedOpPaths, r_gw, f_gw,
+                 d.batch * pvol);
+    for (int64_t i = 0; i < gw->size(); ++i) (*gw)[i] += f_gw[i];
+  }
+  if (gb) {
+    CompareOrDie("concat_conv_bias_act_bwd", kFusedOpPaths, r_gb, f_gb,
+                 d.batch * pvol);
+    for (int64_t i = 0; i < gb->size(); ++i) (*gb)[i] += f_gb[i];
+  }
 }
 
 }  // namespace backend

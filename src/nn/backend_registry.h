@@ -17,29 +17,26 @@ namespace backend {
 /// to an implementation:
 ///
 ///   reference — serial scalar loops; the semantics oracle.
-///   parallel  — the ParallelFor owner-computes path (the previous
-///               default; bitwise-identical to reference).
-///   simd      — im2col + blocked AVX2/FMA GEMM with arena-planned
-///               scratch (kernels_simd.cc); deterministic per thread
-///               count, equal to reference within CheckTolerance.
-///   fused     — the static-graph executor (nn/graph_ir.h): models
-///               route their forward through a fused schedule whose
+///   fast      — the default. Models route their forward through the
+///               static-graph executor (nn/graph_ir.h), whose
 ///               conv+bias+activation chains and encoder concats
-///               collapse into the single-kernel dispatches below
-///               (kernels_fused.cc); base ops delegate to `simd`.
+///               collapse into single fused dispatches
+///               (kernels_fused.cc); the base ops underneath are
+///               im2col + blocked AVX2/FMA GEMM with arena-planned
+///               scratch (kernels_simd.cc). Deterministic per thread
+///               count, equal to reference within CheckTolerance.
 ///   check     — self-verifying mode: every dispatch runs the fast
-///               path (`simd`, or the fused kernel for fused ops) and
-///               a reference decomposition and CHECK-fails if they
-///               diverge beyond CheckTolerance; the fast result is
-///               kept, so the fast path is what actually executes.
+///               kernel and a reference decomposition and CHECK-fails
+///               if they diverge beyond CheckTolerance; the fast
+///               result is kept, so the fast path is what executes.
 ///
 /// Selection: `SetBackend` (wired to the tools' `--backend` flag),
 /// else the `ET_BACKEND` environment variable read once at startup,
-/// else `parallel`. Every future kernel optimization is an additive
+/// else `fast`. Every future kernel optimization is an additive
 /// `RegisterKernel` call instead of a rewrite; this is also the seam
 /// an external-BLAS or GPU backend would plug into.
 
-enum class Backend { kReference, kParallel, kSimd, kCheck, kFused };
+enum class Backend { kReference, kFast, kCheck };
 
 /// Pre-validated convolution geometry ("same" zero padding, stride 1,
 /// odd kernels — see autograd/conv_ops.h for the layout conventions).
@@ -99,7 +96,7 @@ enum class Act : int32_t { kLinear = 0, kRelu = 1, kSigmoid = 2, kTanh = 3 };
 
 /// Pre-validated geometry of a fused conv+bias+activation dispatch.
 /// One struct covers all three spatial ranks with the same unification
-/// the simd lowering uses: rank 1 sets w = h = 1 (t is the time axis),
+/// the im2col lowering uses: rank 1 sets w = h = 1 (t is the time axis),
 /// rank 2 sets t = 1. For the concat-folding variant `cin` is the SUM
 /// of the part channel counts; per-part layout rides in the dispatch
 /// arguments, not here.
@@ -140,8 +137,11 @@ using ConcatConvBiasActBwdFn = void (*)(const ConvBiasActDims&,
 
 /// Registers `fn` (one of the Fn types above) for (`op_key`,
 /// `backend`). Op keys: conv1d_fwd, conv1d_bwd, conv2d_fwd, conv2d_bwd,
-/// conv3d_fwd, conv3d_bwd, matmul. Re-registering an existing pair
-/// replaces it (last wins), so tests can shim kernels.
+/// conv3d_fwd, conv3d_bwd, matmul, and (fast only) the four fused op
+/// keys. Re-registering an existing pair replaces it (last wins) and
+/// takes effect on the next dispatch, so tests can shim kernels. The
+/// built-in sets register on the registry's first use (any resolve,
+/// list or dispatch call), so a shim must come after that to survive.
 void RegisterKernel(const std::string& op_key, const std::string& backend,
                     void (*fn)());
 
@@ -166,29 +166,37 @@ Fn ResolveKernelFn(const std::string& op_key, const std::string& backend) {
 /// All registered (op_key, backend) pairs, sorted, for diagnostics.
 std::vector<std::pair<std::string, std::string>> ListKernels();
 
-/// Backend-name round trip: "reference" | "parallel" | "simd" |
-/// "check" | "fused". ParseBackend returns false on unknown names.
+/// Backend-name round trip over BackendNames(). ParseBackend returns
+/// false on unknown names.
 bool ParseBackend(const std::string& name, Backend* out);
 const char* BackendName(Backend b);
 
+/// Every selectable backend name, in enum order — the one list that
+/// flag help, error text and tests derive from.
+std::vector<std::string> BackendNames();
+
+/// BackendNames() joined as "reference | fast | check", for help and
+/// error text.
+std::string BackendNameList();
+
 /// Runtime selection. CurrentBackend resolves, in priority order:
-/// SetBackend, the ET_BACKEND env var (read once), kParallel.
+/// SetBackend, the ET_BACKEND env var (read once), kFast.
 void SetBackend(Backend b);
 Backend CurrentBackend();
 
 /// True when models should execute through their fused graph schedule
 /// (nn/graph_ir.h) instead of eager op chains: the current backend is
-/// `fused`, or `check` (so the self-verifying mode replays every fused
+/// `fast`, or `check` (so the self-verifying mode replays every fused
 /// dispatch against its reference decomposition).
 bool FusedGraphActive();
 
 /// True when the CPU executes the AVX2/FMA micro-kernels; false means
-/// the simd backend is running its portable blocked fallback.
+/// the fast backend is running its portable blocked fallback.
 bool SimdAcceleratorActive();
 
-/// Documented cross-backend tolerance (DESIGN.md §13): the simd GEMM
+/// Documented cross-backend tolerance (DESIGN.md §13): the fast GEMM
 /// accumulates in a different association than the reference loops, so
-/// elementwise |simd - ref| is bounded by
+/// elementwise |fast - ref| is bounded by
 ///   kCheckRelTol * sqrt(reduction_length) * max(1, |ref|_max)
 /// with kCheckRelTol = 1e-5 (float mantissa epsilon headroom).
 /// `reduction_length` is the number of fused multiply-adds feeding one
@@ -212,13 +220,13 @@ void Conv3dBackward(const Conv3dDims& d, const Tensor& x, const Tensor& w,
                     const Tensor& gout, Tensor* gx, Tensor* gw);
 void MatMul(const MatMulSpec& spec, const float* a, const float* b, float* c);
 
-/// Fused-op dispatch. Under `fused` (and `check`) these run the fused
-/// kernels; under every other backend they DECOMPOSE into the
-/// constituent base ops of that backend — conv via its kernel table
-/// plus the eager bias/activation loops — producing values bitwise
-/// equal to the eager op chain, so the fused graph schedule can run on
-/// any backend. Check mode runs the fused kernel AND the reference
-/// decomposition and aborts beyond CheckTolerance.
+/// Fused-op dispatch. Under `fast` (and `check`) these run the fused
+/// kernels; under `reference` they DECOMPOSE into the constituent
+/// reference ops — conv via its kernel table plus the eager
+/// bias/activation loops — producing values bitwise equal to the eager
+/// op chain, so the fused graph schedule can run on either backend.
+/// Check mode runs the fused kernel AND the reference decomposition and
+/// aborts beyond CheckTolerance.
 void ConvBiasActForward(const ConvBiasActDims& d, const Tensor& x,
                         const Tensor& w, const Tensor& bias, Tensor* out);
 void ConvBiasActBackward(const ConvBiasActDims& d, const Tensor& x,

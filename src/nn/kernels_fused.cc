@@ -15,18 +15,20 @@ namespace equitensor {
 namespace backend {
 namespace {
 
-// Fused conv+bias+activation kernels (DESIGN.md §15). The conv body is
-// the simd lowering driven through its gather-table entry points; what
-// fusion adds is (a) the bias/activation epilogue applied in place on
-// the conv output — the pre-activation tensor never exists — and (b)
-// the concat fold: the gather tables point input channels straight at
-// the per-dataset source parts, so the concatenated input (and its
+// Fused conv+bias+activation kernels of the `fast` backend (DESIGN.md
+// §15). The conv body is the im2col + GEMM lowering of kernels_simd.cc
+// driven through its gather-table entry points; what fusion adds is
+// (a) the bias/activation epilogue applied in place on the conv
+// output — the pre-activation tensor never exists — and (b) the
+// concat fold: the gather tables point input channels straight at the
+// per-dataset source parts, so the concatenated input (and its
 // gradient) are never materialized either.
 //
-// Float semantics are copied verbatim from the eager ops so fused and
-// eager-simd trajectories are BITWISE equal: AddBias's `src + bv`, the
-// activation expressions of autograd/ops.cc, and AddBias-backward's
-// per-(channel, sample) double accumulator.
+// Float semantics are copied verbatim from the eager ops so a fused
+// dispatch is BITWISE equal to the eager chain over the same base
+// kernels: AddBias's `src + bv`, the activation expressions of
+// autograd/ops.cc, and AddBias-backward's per-(channel, sample) double
+// accumulator.
 
 SimdConvGeom GeomFromFused(const ConvBiasActDims& d) {
   switch (d.rank) {
@@ -229,16 +231,16 @@ void FusedBackwardImpl(const ConvBiasActDims& d,
 
 void FusedConvBiasActFwd(const ConvBiasActDims& d, const Tensor& x,
                          const Tensor& w, const Tensor& bias, Tensor* out) {
-  ET_TRACE_SPAN("conv_bias_act.fwd.fused");
-  ET_METRIC_COUNTER_ADD("kernel.conv_bias_act_fwd.fused", 1);
+  ET_TRACE_SPAN("conv_bias_act.fwd.fast");
+  ET_METRIC_COUNTER_ADD("kernel.conv_bias_act_fwd.fast", 1);
   FusedForwardImpl(d, {&x}, w, bias, out);
 }
 
 void FusedConvBiasActBwd(const ConvBiasActDims& d, const Tensor& x,
                          const Tensor& w, const Tensor& y, const Tensor& gout,
                          Tensor* gx, Tensor* gw, Tensor* gb) {
-  ET_TRACE_SPAN("conv_bias_act.bwd.fused");
-  ET_METRIC_COUNTER_ADD("kernel.conv_bias_act_bwd.fused", 1);
+  ET_TRACE_SPAN("conv_bias_act.bwd.fast");
+  ET_METRIC_COUNTER_ADD("kernel.conv_bias_act_bwd.fast", 1);
   FusedBackwardImpl(d, {&x}, w, y, gout, {gx}, gw, gb);
 }
 
@@ -246,8 +248,8 @@ void FusedConcatConvBiasActFwd(const ConvBiasActDims& d,
                                const std::vector<const Tensor*>& parts,
                                const Tensor& w, const Tensor& bias,
                                Tensor* out) {
-  ET_TRACE_SPAN("concat_conv_bias_act.fwd.fused");
-  ET_METRIC_COUNTER_ADD("kernel.concat_conv_bias_act_fwd.fused", 1);
+  ET_TRACE_SPAN("concat_conv_bias_act.fwd.fast");
+  ET_METRIC_COUNTER_ADD("kernel.concat_conv_bias_act_fwd.fast", 1);
   FusedForwardImpl(d, parts, w, bias, out);
 }
 
@@ -257,86 +259,23 @@ void FusedConcatConvBiasActBwd(const ConvBiasActDims& d,
                                const Tensor& gout,
                                const std::vector<Tensor*>& gparts, Tensor* gw,
                                Tensor* gb) {
-  ET_TRACE_SPAN("concat_conv_bias_act.bwd.fused");
-  ET_METRIC_COUNTER_ADD("kernel.concat_conv_bias_act_bwd.fused", 1);
+  ET_TRACE_SPAN("concat_conv_bias_act.bwd.fast");
+  ET_METRIC_COUNTER_ADD("kernel.concat_conv_bias_act_bwd.fast", 1);
   FusedBackwardImpl(d, parts, w, y, gout, gparts, gw, gb);
-}
-
-// Base ops of the `fused` backend delegate to `simd`, resolved PER
-// CALL: resolving at registration time would re-enter the registry's
-// EnsureBuiltinsRegistered while this set is still registering, and
-// would also pin stale pointers across test re-registrations.
-template <typename Dims>
-void FusedDelegateConvFwd(const char* op, const char* counter, const Dims& d,
-                          const Tensor& x, const Tensor& w, Tensor* out) {
-  ET_METRIC_COUNTER_ADD(counter, 1);
-  using Fn = void (*)(const Dims&, const Tensor&, const Tensor&, Tensor*);
-  ResolveKernelFn<Fn>(op, "simd")(d, x, w, out);
-}
-
-template <typename Dims>
-void FusedDelegateConvBwd(const char* op, const char* counter, const Dims& d,
-                          const Tensor& x, const Tensor& w, const Tensor& gout,
-                          Tensor* gx, Tensor* gw) {
-  ET_METRIC_COUNTER_ADD(counter, 1);
-  using Fn = void (*)(const Dims&, const Tensor&, const Tensor&, const Tensor&,
-                      Tensor*, Tensor*);
-  ResolveKernelFn<Fn>(op, "simd")(d, x, w, gout, gx, gw);
-}
-
-void FusedConv1dFwd(const Conv1dDims& d, const Tensor& x, const Tensor& w,
-                    Tensor* out) {
-  FusedDelegateConvFwd("conv1d_fwd", "kernel.conv1d_fwd.fused", d, x, w, out);
-}
-void FusedConv1dBwd(const Conv1dDims& d, const Tensor& x, const Tensor& w,
-                    const Tensor& gout, Tensor* gx, Tensor* gw) {
-  FusedDelegateConvBwd("conv1d_bwd", "kernel.conv1d_bwd.fused", d, x, w, gout,
-                       gx, gw);
-}
-void FusedConv2dFwd(const Conv2dDims& d, const Tensor& x, const Tensor& w,
-                    Tensor* out) {
-  FusedDelegateConvFwd("conv2d_fwd", "kernel.conv2d_fwd.fused", d, x, w, out);
-}
-void FusedConv2dBwd(const Conv2dDims& d, const Tensor& x, const Tensor& w,
-                    const Tensor& gout, Tensor* gx, Tensor* gw) {
-  FusedDelegateConvBwd("conv2d_bwd", "kernel.conv2d_bwd.fused", d, x, w, gout,
-                       gx, gw);
-}
-void FusedConv3dFwd(const Conv3dDims& d, const Tensor& x, const Tensor& w,
-                    Tensor* out) {
-  FusedDelegateConvFwd("conv3d_fwd", "kernel.conv3d_fwd.fused", d, x, w, out);
-}
-void FusedConv3dBwd(const Conv3dDims& d, const Tensor& x, const Tensor& w,
-                    const Tensor& gout, Tensor* gx, Tensor* gw) {
-  FusedDelegateConvBwd("conv3d_bwd", "kernel.conv3d_bwd.fused", d, x, w, gout,
-                       gx, gw);
-}
-
-void FusedMatMul(const MatMulSpec& s, const float* a, const float* b,
-                 float* c) {
-  ET_METRIC_COUNTER_ADD("kernel.matmul.fused", 1);
-  ResolveKernelFn<MatMulFn>("matmul", "simd")(s, a, b, c);
 }
 
 }  // namespace
 
 void RegisterFusedKernels() {
   static const bool registered = [] {
-    RegisterKernelFn<Conv1dFwdFn>("conv1d_fwd", "fused", FusedConv1dFwd);
-    RegisterKernelFn<Conv1dBwdFn>("conv1d_bwd", "fused", FusedConv1dBwd);
-    RegisterKernelFn<Conv2dFwdFn>("conv2d_fwd", "fused", FusedConv2dFwd);
-    RegisterKernelFn<Conv2dBwdFn>("conv2d_bwd", "fused", FusedConv2dBwd);
-    RegisterKernelFn<Conv3dFwdFn>("conv3d_fwd", "fused", FusedConv3dFwd);
-    RegisterKernelFn<Conv3dBwdFn>("conv3d_bwd", "fused", FusedConv3dBwd);
-    RegisterKernelFn<MatMulFn>("matmul", "fused", FusedMatMul);
-    RegisterKernelFn<ConvBiasActFwdFn>("conv_bias_act_fwd", "fused",
+    RegisterKernelFn<ConvBiasActFwdFn>("conv_bias_act_fwd", "fast",
                                        FusedConvBiasActFwd);
-    RegisterKernelFn<ConvBiasActBwdFn>("conv_bias_act_bwd", "fused",
+    RegisterKernelFn<ConvBiasActBwdFn>("conv_bias_act_bwd", "fast",
                                        FusedConvBiasActBwd);
     RegisterKernelFn<ConcatConvBiasActFwdFn>("concat_conv_bias_act_fwd",
-                                             "fused", FusedConcatConvBiasActFwd);
+                                             "fast", FusedConcatConvBiasActFwd);
     RegisterKernelFn<ConcatConvBiasActBwdFn>("concat_conv_bias_act_bwd",
-                                             "fused", FusedConcatConvBiasActBwd);
+                                             "fast", FusedConcatConvBiasActBwd);
     return true;
   }();
   (void)registered;

@@ -8,31 +8,29 @@ namespace backend {
 
 enum class Act : int32_t;
 
-/// Registers the `fused` kernel set (DESIGN.md §15):
+/// Registers the fused op keys of the `fast` backend (DESIGN.md §15):
 ///  - conv_bias_act_{fwd,bwd}: one dispatch for conv → +bias →
-///    activation. Forward drives the simd conv lowering and applies
-///    the bias/activation as an in-place epilogue on the conv output,
-///    so the pre-activation tensor is never materialized; backward
-///    forms g_pre = gout · act'(y) once in arena scratch and feeds the
-///    simd conv backward directly.
+///    activation. Forward drives the im2col + GEMM conv lowering and
+///    applies the bias/activation as an in-place epilogue on the conv
+///    output, so the pre-activation tensor is never materialized;
+///    backward forms g_pre = gout · act'(y) once in arena scratch and
+///    feeds the conv backward directly.
 ///  - concat_conv_bias_act_{fwd,bwd}: the same kernel reading its
 ///    input through per-channel gather tables that point straight at
 ///    the concatenated source parts, so the concat intermediate (and
 ///    its gradient) never exist.
-///  - base ops (conv1d/2d/3d, matmul) delegate to the `simd` kernels —
-///    resolved per call so test shims keep working — which makes
-///    `fused` a complete backend.
 ///
-/// Bitwise story: the fused conv IS the simd conv (identical im2col
-/// values, identical blocked GEMM), and the epilogues replicate the
-/// eager ops' float expressions element for element, so a fused-graph
-/// trajectory is bitwise equal to the simd backend's eager trajectory
-/// at any thread count. Idempotent; called by the registry.
+/// Bitwise story: the fused conv IS the fast base conv (identical
+/// im2col values, identical blocked GEMM), and the epilogues replicate
+/// the eager ops' float expressions element for element, so a
+/// fused-graph trajectory is bitwise equal to the eager trajectory over
+/// the fast base kernels at any thread count. Idempotent; called by
+/// the registry.
 void RegisterFusedKernels();
 
 /// Elementwise pieces of the fusion, exposed so the registry's
-/// decomposed dispatch path (non-fused backends and the check-mode
-/// reference) replays the exact same float expressions:
+/// decomposed dispatch path (the reference backend and the check-mode
+/// oracle) replays the exact same float expressions:
 ///  - epilogue: y[i] = act(y[i] + bias[channel]), in place — eager
 ///    AddBias followed by Activate, element for element;
 ///  - grad-pre: gpre[i] = gout[i] * act'(y[i]) — the eager activation

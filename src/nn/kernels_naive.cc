@@ -5,366 +5,328 @@
 #include "nn/backend_registry.h"
 #include "util/arena.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace equitensor {
 namespace backend {
 namespace {
 
-// The original eager conv kernels (moved here from autograd/conv_ops.cc
-// verbatim), templated over an executor so the same loop bodies serve
-// two backends: `reference` runs each index space inline on the
-// calling thread, `parallel` partitions it over the global pool. Both
-// follow the owner-computes scheme of DESIGN.md §8 — every output
-// element is reduced in serial order inside its owning chunk — so the
-// two backends are bitwise-identical to each other at any thread
-// count.
+// The `reference` kernels: the original eager conv loops (moved here
+// from autograd/conv_ops.cc), run serially on the calling thread. Every
+// output element is reduced in a fixed serial order, which makes these
+// the semantics oracle that `check` compares the fast kernels against.
+// The bodies keep the chunked (i0, i1) shape of the owner-computes
+// scheme of DESIGN.md §8 they were written for.
 
-struct SerialExec {
-  template <typename Body>
-  void operator()(int64_t begin, int64_t end, int64_t /*grain*/,
-                  const Body& body) const {
-    if (begin < end) body(begin, end);
-  }
-};
+template <typename Body>
+void Serial(int64_t begin, int64_t end, const Body& body) {
+  if (begin < end) body(begin, end);
+}
 
-struct ParallelExec {
-  template <typename Body>
-  void operator()(int64_t begin, int64_t end, int64_t grain,
-                  const Body& body) const {
-    ParallelFor(begin, end, grain, body);
-  }
-};
-
-template <typename Exec>
 void Conv1dFwdImpl(const Conv1dDims& d, const Tensor& x, const Tensor& w,
                    Tensor* out) {
-  Exec exec;
-  exec(0, d.batch * d.cout, GrainForCost(d.cin * d.k * d.t),
-       [&](int64_t i0, int64_t i1) {
-         for (int64_t i = i0; i < i1; ++i) {
-           const int64_t n = i / d.cout;
-           const int64_t co = i % d.cout;
-           float* dst = out->data() + (n * d.cout + co) * d.t;
-           for (int64_t ci = 0; ci < d.cin; ++ci) {
-             const float* src = x.data() + (n * d.cin + ci) * d.t;
-             const float* wrow = w.data() + (co * d.cin + ci) * d.k;
-             for (int64_t kk = 0; kk < d.k; ++kk) {
-               const float wv = wrow[kk];
-               const int64_t dt = kk - d.pad;
-               const int64_t t0 = std::max<int64_t>(0, -dt);
-               const int64_t t1 = std::min<int64_t>(d.t, d.t - dt);
-               for (int64_t t = t0; t < t1; ++t) dst[t] += wv * src[t + dt];
-             }
-           }
-         }
-       });
+  Serial(0, d.batch * d.cout, [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      const int64_t n = i / d.cout;
+      const int64_t co = i % d.cout;
+      float* dst = out->data() + (n * d.cout + co) * d.t;
+      for (int64_t ci = 0; ci < d.cin; ++ci) {
+        const float* src = x.data() + (n * d.cin + ci) * d.t;
+        const float* wrow = w.data() + (co * d.cin + ci) * d.k;
+        for (int64_t kk = 0; kk < d.k; ++kk) {
+          const float wv = wrow[kk];
+          const int64_t dt = kk - d.pad;
+          const int64_t t0 = std::max<int64_t>(0, -dt);
+          const int64_t t1 = std::min<int64_t>(d.t, d.t - dt);
+          for (int64_t t = t0; t < t1; ++t) dst[t] += wv * src[t + dt];
+        }
+      }
+    }
+  });
 }
 
-template <typename Exec>
 void Conv1dBwdImpl(const Conv1dDims& d, const Tensor& x, const Tensor& w,
                    const Tensor& gout, Tensor* gx, Tensor* gw) {
-  Exec exec;
   if (gx) {
-    exec(0, d.batch * d.cin, GrainForCost(d.cout * d.k * d.t),
-         [&](int64_t i0, int64_t i1) {
-           for (int64_t i = i0; i < i1; ++i) {
-             const int64_t n = i / d.cin;
-             const int64_t ci = i % d.cin;
-             float* gsrc = gx->data() + (n * d.cin + ci) * d.t;
-             for (int64_t co = 0; co < d.cout; ++co) {
-               const float* g = gout.data() + (n * d.cout + co) * d.t;
-               const float* wrow = w.data() + (co * d.cin + ci) * d.k;
-               for (int64_t kk = 0; kk < d.k; ++kk) {
-                 const float wv = wrow[kk];
-                 const int64_t dt = kk - d.pad;
-                 const int64_t t0 = std::max<int64_t>(0, -dt);
-                 const int64_t t1 = std::min<int64_t>(d.t, d.t - dt);
-                 for (int64_t t = t0; t < t1; ++t) gsrc[t + dt] += wv * g[t];
-               }
-             }
-           }
-         });
+    Serial(0, d.batch * d.cin, [&](int64_t i0, int64_t i1) {
+      for (int64_t i = i0; i < i1; ++i) {
+        const int64_t n = i / d.cin;
+        const int64_t ci = i % d.cin;
+        float* gsrc = gx->data() + (n * d.cin + ci) * d.t;
+        for (int64_t co = 0; co < d.cout; ++co) {
+          const float* g = gout.data() + (n * d.cout + co) * d.t;
+          const float* wrow = w.data() + (co * d.cin + ci) * d.k;
+          for (int64_t kk = 0; kk < d.k; ++kk) {
+            const float wv = wrow[kk];
+            const int64_t dt = kk - d.pad;
+            const int64_t t0 = std::max<int64_t>(0, -dt);
+            const int64_t t1 = std::min<int64_t>(d.t, d.t - dt);
+            for (int64_t t = t0; t < t1; ++t) gsrc[t + dt] += wv * g[t];
+          }
+        }
+      }
+    });
   }
   if (gw) {
-    exec(0, d.cout * d.cin, GrainForCost(d.batch * d.k * d.t),
-         [&](int64_t i0, int64_t i1) {
-           for (int64_t i = i0; i < i1; ++i) {
-             const int64_t co = i / d.cin;
-             const int64_t ci = i % d.cin;
-             float* gwrow = gw->data() + (co * d.cin + ci) * d.k;
-             for (int64_t n = 0; n < d.batch; ++n) {
-               const float* g = gout.data() + (n * d.cout + co) * d.t;
-               const float* src = x.data() + (n * d.cin + ci) * d.t;
-               for (int64_t kk = 0; kk < d.k; ++kk) {
-                 const int64_t dt = kk - d.pad;
-                 const int64_t t0 = std::max<int64_t>(0, -dt);
-                 const int64_t t1 = std::min<int64_t>(d.t, d.t - dt);
-                 double acc = 0.0;
-                 for (int64_t t = t0; t < t1; ++t) acc += g[t] * src[t + dt];
-                 gwrow[kk] += static_cast<float>(acc);
-               }
-             }
-           }
-         });
+    Serial(0, d.cout * d.cin, [&](int64_t i0, int64_t i1) {
+      for (int64_t i = i0; i < i1; ++i) {
+        const int64_t co = i / d.cin;
+        const int64_t ci = i % d.cin;
+        float* gwrow = gw->data() + (co * d.cin + ci) * d.k;
+        for (int64_t n = 0; n < d.batch; ++n) {
+          const float* g = gout.data() + (n * d.cout + co) * d.t;
+          const float* src = x.data() + (n * d.cin + ci) * d.t;
+          for (int64_t kk = 0; kk < d.k; ++kk) {
+            const int64_t dt = kk - d.pad;
+            const int64_t t0 = std::max<int64_t>(0, -dt);
+            const int64_t t1 = std::min<int64_t>(d.t, d.t - dt);
+            double acc = 0.0;
+            for (int64_t t = t0; t < t1; ++t) acc += g[t] * src[t + dt];
+            gwrow[kk] += static_cast<float>(acc);
+          }
+        }
+      }
+    });
   }
 }
 
-template <typename Exec>
 void Conv2dFwdImpl(const Conv2dDims& d, const Tensor& x, const Tensor& wt,
                    Tensor* out) {
-  Exec exec;
   const int64_t plane = d.w * d.h;
-  exec(0, d.batch * d.cout, GrainForCost(d.cin * d.k * d.k * plane),
-       [&](int64_t i0, int64_t i1) {
-         for (int64_t i = i0; i < i1; ++i) {
-           const int64_t n = i / d.cout;
-           const int64_t co = i % d.cout;
-           float* dst = out->data() + (n * d.cout + co) * plane;
-           for (int64_t ci = 0; ci < d.cin; ++ci) {
-             const float* src = x.data() + (n * d.cin + ci) * plane;
-             const float* wmat = wt.data() + (co * d.cin + ci) * d.k * d.k;
-             for (int64_t kx = 0; kx < d.k; ++kx) {
-               const int64_t dxo = kx - d.pad;
-               const int64_t x0 = std::max<int64_t>(0, -dxo);
-               const int64_t x1 = std::min<int64_t>(d.w, d.w - dxo);
-               for (int64_t ky = 0; ky < d.k; ++ky) {
-                 const float wv = wmat[kx * d.k + ky];
-                 const int64_t dyo = ky - d.pad;
-                 const int64_t y0 = std::max<int64_t>(0, -dyo);
-                 const int64_t y1 = std::min<int64_t>(d.h, d.h - dyo);
-                 for (int64_t xx = x0; xx < x1; ++xx) {
-                   const float* srow = src + (xx + dxo) * d.h + dyo;
-                   float* drow = dst + xx * d.h;
-                   for (int64_t yy = y0; yy < y1; ++yy) {
-                     drow[yy] += wv * srow[yy];
-                   }
-                 }
-               }
-             }
-           }
-         }
-       });
+  Serial(0, d.batch * d.cout, [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      const int64_t n = i / d.cout;
+      const int64_t co = i % d.cout;
+      float* dst = out->data() + (n * d.cout + co) * plane;
+      for (int64_t ci = 0; ci < d.cin; ++ci) {
+        const float* src = x.data() + (n * d.cin + ci) * plane;
+        const float* wmat = wt.data() + (co * d.cin + ci) * d.k * d.k;
+        for (int64_t kx = 0; kx < d.k; ++kx) {
+          const int64_t dxo = kx - d.pad;
+          const int64_t x0 = std::max<int64_t>(0, -dxo);
+          const int64_t x1 = std::min<int64_t>(d.w, d.w - dxo);
+          for (int64_t ky = 0; ky < d.k; ++ky) {
+            const float wv = wmat[kx * d.k + ky];
+            const int64_t dyo = ky - d.pad;
+            const int64_t y0 = std::max<int64_t>(0, -dyo);
+            const int64_t y1 = std::min<int64_t>(d.h, d.h - dyo);
+            for (int64_t xx = x0; xx < x1; ++xx) {
+              const float* srow = src + (xx + dxo) * d.h + dyo;
+              float* drow = dst + xx * d.h;
+              for (int64_t yy = y0; yy < y1; ++yy) {
+                drow[yy] += wv * srow[yy];
+              }
+            }
+          }
+        }
+      }
+    }
+  });
 }
 
-template <typename Exec>
 void Conv2dBwdImpl(const Conv2dDims& d, const Tensor& x, const Tensor& wt,
                    const Tensor& gout, Tensor* gx, Tensor* gw) {
-  Exec exec;
   const int64_t plane = d.w * d.h;
   if (gx) {
-    exec(0, d.batch * d.cin, GrainForCost(d.cout * d.k * d.k * plane),
-         [&](int64_t i0, int64_t i1) {
-           for (int64_t i = i0; i < i1; ++i) {
-             const int64_t n = i / d.cin;
-             const int64_t ci = i % d.cin;
-             float* gsrc = gx->data() + (n * d.cin + ci) * plane;
-             for (int64_t co = 0; co < d.cout; ++co) {
-               const float* g = gout.data() + (n * d.cout + co) * plane;
-               const float* wmat = wt.data() + (co * d.cin + ci) * d.k * d.k;
-               for (int64_t kx = 0; kx < d.k; ++kx) {
-                 const int64_t dxo = kx - d.pad;
-                 const int64_t x0 = std::max<int64_t>(0, -dxo);
-                 const int64_t x1 = std::min<int64_t>(d.w, d.w - dxo);
-                 for (int64_t ky = 0; ky < d.k; ++ky) {
-                   const int64_t dyo = ky - d.pad;
-                   const int64_t y0 = std::max<int64_t>(0, -dyo);
-                   const int64_t y1 = std::min<int64_t>(d.h, d.h - dyo);
-                   const float wv = wmat[kx * d.k + ky];
-                   for (int64_t xx = x0; xx < x1; ++xx) {
-                     const float* grow = g + xx * d.h;
-                     float* gsrow = gsrc + (xx + dxo) * d.h + dyo;
-                     for (int64_t yy = y0; yy < y1; ++yy) {
-                       gsrow[yy] += wv * grow[yy];
-                     }
-                   }
-                 }
-               }
-             }
-           }
-         });
+    Serial(0, d.batch * d.cin, [&](int64_t i0, int64_t i1) {
+      for (int64_t i = i0; i < i1; ++i) {
+        const int64_t n = i / d.cin;
+        const int64_t ci = i % d.cin;
+        float* gsrc = gx->data() + (n * d.cin + ci) * plane;
+        for (int64_t co = 0; co < d.cout; ++co) {
+          const float* g = gout.data() + (n * d.cout + co) * plane;
+          const float* wmat = wt.data() + (co * d.cin + ci) * d.k * d.k;
+          for (int64_t kx = 0; kx < d.k; ++kx) {
+            const int64_t dxo = kx - d.pad;
+            const int64_t x0 = std::max<int64_t>(0, -dxo);
+            const int64_t x1 = std::min<int64_t>(d.w, d.w - dxo);
+            for (int64_t ky = 0; ky < d.k; ++ky) {
+              const int64_t dyo = ky - d.pad;
+              const int64_t y0 = std::max<int64_t>(0, -dyo);
+              const int64_t y1 = std::min<int64_t>(d.h, d.h - dyo);
+              const float wv = wmat[kx * d.k + ky];
+              for (int64_t xx = x0; xx < x1; ++xx) {
+                const float* grow = g + xx * d.h;
+                float* gsrow = gsrc + (xx + dxo) * d.h + dyo;
+                for (int64_t yy = y0; yy < y1; ++yy) {
+                  gsrow[yy] += wv * grow[yy];
+                }
+              }
+            }
+          }
+        }
+      }
+    });
   }
   if (gw) {
-    exec(0, d.cout * d.cin, GrainForCost(d.batch * d.k * d.k * plane),
-         [&](int64_t i0, int64_t i1) {
-           for (int64_t i = i0; i < i1; ++i) {
-             const int64_t co = i / d.cin;
-             const int64_t ci = i % d.cin;
-             float* gwmat = gw->data() + (co * d.cin + ci) * d.k * d.k;
-             for (int64_t n = 0; n < d.batch; ++n) {
-               const float* g = gout.data() + (n * d.cout + co) * plane;
-               const float* src = x.data() + (n * d.cin + ci) * plane;
-               for (int64_t kx = 0; kx < d.k; ++kx) {
-                 const int64_t dxo = kx - d.pad;
-                 const int64_t x0 = std::max<int64_t>(0, -dxo);
-                 const int64_t x1 = std::min<int64_t>(d.w, d.w - dxo);
-                 for (int64_t ky = 0; ky < d.k; ++ky) {
-                   const int64_t dyo = ky - d.pad;
-                   const int64_t y0 = std::max<int64_t>(0, -dyo);
-                   const int64_t y1 = std::min<int64_t>(d.h, d.h - dyo);
-                   double acc = 0.0;
-                   for (int64_t xx = x0; xx < x1; ++xx) {
-                     const float* grow = g + xx * d.h;
-                     const float* srow = src + (xx + dxo) * d.h + dyo;
-                     for (int64_t yy = y0; yy < y1; ++yy) {
-                       acc += grow[yy] * srow[yy];
-                     }
-                   }
-                   gwmat[kx * d.k + ky] += static_cast<float>(acc);
-                 }
-               }
-             }
-           }
-         });
+    Serial(0, d.cout * d.cin, [&](int64_t i0, int64_t i1) {
+      for (int64_t i = i0; i < i1; ++i) {
+        const int64_t co = i / d.cin;
+        const int64_t ci = i % d.cin;
+        float* gwmat = gw->data() + (co * d.cin + ci) * d.k * d.k;
+        for (int64_t n = 0; n < d.batch; ++n) {
+          const float* g = gout.data() + (n * d.cout + co) * plane;
+          const float* src = x.data() + (n * d.cin + ci) * plane;
+          for (int64_t kx = 0; kx < d.k; ++kx) {
+            const int64_t dxo = kx - d.pad;
+            const int64_t x0 = std::max<int64_t>(0, -dxo);
+            const int64_t x1 = std::min<int64_t>(d.w, d.w - dxo);
+            for (int64_t ky = 0; ky < d.k; ++ky) {
+              const int64_t dyo = ky - d.pad;
+              const int64_t y0 = std::max<int64_t>(0, -dyo);
+              const int64_t y1 = std::min<int64_t>(d.h, d.h - dyo);
+              double acc = 0.0;
+              for (int64_t xx = x0; xx < x1; ++xx) {
+                const float* grow = g + xx * d.h;
+                const float* srow = src + (xx + dxo) * d.h + dyo;
+                for (int64_t yy = y0; yy < y1; ++yy) {
+                  acc += grow[yy] * srow[yy];
+                }
+              }
+              gwmat[kx * d.k + ky] += static_cast<float>(acc);
+            }
+          }
+        }
+      }
+    });
   }
 }
 
-template <typename Exec>
 void Conv3dFwdImpl(const Conv3dDims& d, const Tensor& x, const Tensor& wt,
                    Tensor* out) {
-  Exec exec;
   const int64_t vol = d.w * d.h * d.t;
   const int64_t k3 = d.k * d.k * d.k;
-  exec(0, d.batch * d.cout, GrainForCost(d.cin * k3 * vol),
-       [&](int64_t i0, int64_t i1) {
-         for (int64_t i = i0; i < i1; ++i) {
-           const int64_t n = i / d.cout;
-           const int64_t co = i % d.cout;
-           float* dst = out->data() + (n * d.cout + co) * vol;
-           for (int64_t ci = 0; ci < d.cin; ++ci) {
-             const float* src = x.data() + (n * d.cin + ci) * vol;
-             const float* wcube = wt.data() + (co * d.cin + ci) * k3;
-             for (int64_t kx = 0; kx < d.k; ++kx) {
-               const int64_t dxo = kx - d.pad;
-               const int64_t x0 = std::max<int64_t>(0, -dxo);
-               const int64_t x1 = std::min<int64_t>(d.w, d.w - dxo);
-               for (int64_t ky = 0; ky < d.k; ++ky) {
-                 const int64_t dyo = ky - d.pad;
-                 const int64_t y0 = std::max<int64_t>(0, -dyo);
-                 const int64_t y1 = std::min<int64_t>(d.h, d.h - dyo);
-                 for (int64_t kt = 0; kt < d.k; ++kt) {
-                   const float wv = wcube[(kx * d.k + ky) * d.k + kt];
-                   const int64_t dto = kt - d.pad;
-                   const int64_t t0 = std::max<int64_t>(0, -dto);
-                   const int64_t t1 = std::min<int64_t>(d.t, d.t - dto);
-                   for (int64_t xx = x0; xx < x1; ++xx) {
-                     for (int64_t yy = y0; yy < y1; ++yy) {
-                       const float* srow =
-                           src + ((xx + dxo) * d.h + (yy + dyo)) * d.t + dto;
-                       float* drow = dst + (xx * d.h + yy) * d.t;
-                       for (int64_t tt = t0; tt < t1; ++tt) {
-                         drow[tt] += wv * srow[tt];
-                       }
-                     }
-                   }
-                 }
-               }
-             }
-           }
-         }
-       });
+  Serial(0, d.batch * d.cout, [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      const int64_t n = i / d.cout;
+      const int64_t co = i % d.cout;
+      float* dst = out->data() + (n * d.cout + co) * vol;
+      for (int64_t ci = 0; ci < d.cin; ++ci) {
+        const float* src = x.data() + (n * d.cin + ci) * vol;
+        const float* wcube = wt.data() + (co * d.cin + ci) * k3;
+        for (int64_t kx = 0; kx < d.k; ++kx) {
+          const int64_t dxo = kx - d.pad;
+          const int64_t x0 = std::max<int64_t>(0, -dxo);
+          const int64_t x1 = std::min<int64_t>(d.w, d.w - dxo);
+          for (int64_t ky = 0; ky < d.k; ++ky) {
+            const int64_t dyo = ky - d.pad;
+            const int64_t y0 = std::max<int64_t>(0, -dyo);
+            const int64_t y1 = std::min<int64_t>(d.h, d.h - dyo);
+            for (int64_t kt = 0; kt < d.k; ++kt) {
+              const float wv = wcube[(kx * d.k + ky) * d.k + kt];
+              const int64_t dto = kt - d.pad;
+              const int64_t t0 = std::max<int64_t>(0, -dto);
+              const int64_t t1 = std::min<int64_t>(d.t, d.t - dto);
+              for (int64_t xx = x0; xx < x1; ++xx) {
+                for (int64_t yy = y0; yy < y1; ++yy) {
+                  const float* srow =
+                      src + ((xx + dxo) * d.h + (yy + dyo)) * d.t + dto;
+                  float* drow = dst + (xx * d.h + yy) * d.t;
+                  for (int64_t tt = t0; tt < t1; ++tt) {
+                    drow[tt] += wv * srow[tt];
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  });
 }
 
-template <typename Exec>
 void Conv3dBwdImpl(const Conv3dDims& d, const Tensor& x, const Tensor& wt,
                    const Tensor& gout, Tensor* gx, Tensor* gw) {
-  Exec exec;
   const int64_t vol = d.w * d.h * d.t;
   const int64_t k3 = d.k * d.k * d.k;
   if (gx) {
-    exec(0, d.batch * d.cin, GrainForCost(d.cout * k3 * vol),
-         [&](int64_t i0, int64_t i1) {
-           for (int64_t i = i0; i < i1; ++i) {
-             const int64_t n = i / d.cin;
-             const int64_t ci = i % d.cin;
-             float* gsrc = gx->data() + (n * d.cin + ci) * vol;
-             for (int64_t co = 0; co < d.cout; ++co) {
-               const float* g = gout.data() + (n * d.cout + co) * vol;
-               const float* wcube = wt.data() + (co * d.cin + ci) * k3;
-               for (int64_t kx = 0; kx < d.k; ++kx) {
-                 const int64_t dxo = kx - d.pad;
-                 const int64_t x0 = std::max<int64_t>(0, -dxo);
-                 const int64_t x1 = std::min<int64_t>(d.w, d.w - dxo);
-                 for (int64_t ky = 0; ky < d.k; ++ky) {
-                   const int64_t dyo = ky - d.pad;
-                   const int64_t y0 = std::max<int64_t>(0, -dyo);
-                   const int64_t y1 = std::min<int64_t>(d.h, d.h - dyo);
-                   for (int64_t kt = 0; kt < d.k; ++kt) {
-                     const int64_t dto = kt - d.pad;
-                     const int64_t t0 = std::max<int64_t>(0, -dto);
-                     const int64_t t1 = std::min<int64_t>(d.t, d.t - dto);
-                     const float wv = wcube[(kx * d.k + ky) * d.k + kt];
-                     for (int64_t xx = x0; xx < x1; ++xx) {
-                       for (int64_t yy = y0; yy < y1; ++yy) {
-                         float* gsrow =
-                             gsrc + ((xx + dxo) * d.h + (yy + dyo)) * d.t + dto;
-                         const float* grow = g + (xx * d.h + yy) * d.t;
-                         for (int64_t tt = t0; tt < t1; ++tt) {
-                           gsrow[tt] += wv * grow[tt];
-                         }
-                       }
-                     }
-                   }
-                 }
-               }
-             }
-           }
-         });
+    Serial(0, d.batch * d.cin, [&](int64_t i0, int64_t i1) {
+      for (int64_t i = i0; i < i1; ++i) {
+        const int64_t n = i / d.cin;
+        const int64_t ci = i % d.cin;
+        float* gsrc = gx->data() + (n * d.cin + ci) * vol;
+        for (int64_t co = 0; co < d.cout; ++co) {
+          const float* g = gout.data() + (n * d.cout + co) * vol;
+          const float* wcube = wt.data() + (co * d.cin + ci) * k3;
+          for (int64_t kx = 0; kx < d.k; ++kx) {
+            const int64_t dxo = kx - d.pad;
+            const int64_t x0 = std::max<int64_t>(0, -dxo);
+            const int64_t x1 = std::min<int64_t>(d.w, d.w - dxo);
+            for (int64_t ky = 0; ky < d.k; ++ky) {
+              const int64_t dyo = ky - d.pad;
+              const int64_t y0 = std::max<int64_t>(0, -dyo);
+              const int64_t y1 = std::min<int64_t>(d.h, d.h - dyo);
+              for (int64_t kt = 0; kt < d.k; ++kt) {
+                const int64_t dto = kt - d.pad;
+                const int64_t t0 = std::max<int64_t>(0, -dto);
+                const int64_t t1 = std::min<int64_t>(d.t, d.t - dto);
+                const float wv = wcube[(kx * d.k + ky) * d.k + kt];
+                for (int64_t xx = x0; xx < x1; ++xx) {
+                  for (int64_t yy = y0; yy < y1; ++yy) {
+                    float* gsrow =
+                        gsrc + ((xx + dxo) * d.h + (yy + dyo)) * d.t + dto;
+                    const float* grow = g + (xx * d.h + yy) * d.t;
+                    for (int64_t tt = t0; tt < t1; ++tt) {
+                      gsrow[tt] += wv * grow[tt];
+                    }
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    });
   }
   if (gw) {
-    exec(0, d.cout * d.cin, GrainForCost(d.batch * k3 * vol),
-         [&](int64_t i0, int64_t i1) {
-           for (int64_t i = i0; i < i1; ++i) {
-             const int64_t co = i / d.cin;
-             const int64_t ci = i % d.cin;
-             float* gwcube = gw->data() + (co * d.cin + ci) * k3;
-             for (int64_t n = 0; n < d.batch; ++n) {
-               const float* g = gout.data() + (n * d.cout + co) * vol;
-               const float* src = x.data() + (n * d.cin + ci) * vol;
-               for (int64_t kx = 0; kx < d.k; ++kx) {
-                 const int64_t dxo = kx - d.pad;
-                 const int64_t x0 = std::max<int64_t>(0, -dxo);
-                 const int64_t x1 = std::min<int64_t>(d.w, d.w - dxo);
-                 for (int64_t ky = 0; ky < d.k; ++ky) {
-                   const int64_t dyo = ky - d.pad;
-                   const int64_t y0 = std::max<int64_t>(0, -dyo);
-                   const int64_t y1 = std::min<int64_t>(d.h, d.h - dyo);
-                   for (int64_t kt = 0; kt < d.k; ++kt) {
-                     const int64_t dto = kt - d.pad;
-                     const int64_t t0 = std::max<int64_t>(0, -dto);
-                     const int64_t t1 = std::min<int64_t>(d.t, d.t - dto);
-                     double acc = 0.0;
-                     for (int64_t xx = x0; xx < x1; ++xx) {
-                       for (int64_t yy = y0; yy < y1; ++yy) {
-                         const float* srow =
-                             src + ((xx + dxo) * d.h + (yy + dyo)) * d.t + dto;
-                         const float* grow = g + (xx * d.h + yy) * d.t;
-                         for (int64_t tt = t0; tt < t1; ++tt) {
-                           acc += grow[tt] * srow[tt];
-                         }
-                       }
-                     }
-                     gwcube[(kx * d.k + ky) * d.k + kt] +=
-                         static_cast<float>(acc);
-                   }
-                 }
-               }
-             }
-           }
-         });
+    Serial(0, d.cout * d.cin, [&](int64_t i0, int64_t i1) {
+      for (int64_t i = i0; i < i1; ++i) {
+        const int64_t co = i / d.cin;
+        const int64_t ci = i % d.cin;
+        float* gwcube = gw->data() + (co * d.cin + ci) * k3;
+        for (int64_t n = 0; n < d.batch; ++n) {
+          const float* g = gout.data() + (n * d.cout + co) * vol;
+          const float* src = x.data() + (n * d.cin + ci) * vol;
+          for (int64_t kx = 0; kx < d.k; ++kx) {
+            const int64_t dxo = kx - d.pad;
+            const int64_t x0 = std::max<int64_t>(0, -dxo);
+            const int64_t x1 = std::min<int64_t>(d.w, d.w - dxo);
+            for (int64_t ky = 0; ky < d.k; ++ky) {
+              const int64_t dyo = ky - d.pad;
+              const int64_t y0 = std::max<int64_t>(0, -dyo);
+              const int64_t y1 = std::min<int64_t>(d.h, d.h - dyo);
+              for (int64_t kt = 0; kt < d.k; ++kt) {
+                const int64_t dto = kt - d.pad;
+                const int64_t t0 = std::max<int64_t>(0, -dto);
+                const int64_t t1 = std::min<int64_t>(d.t, d.t - dto);
+                double acc = 0.0;
+                for (int64_t xx = x0; xx < x1; ++xx) {
+                  for (int64_t yy = y0; yy < y1; ++yy) {
+                    const float* srow =
+                        src + ((xx + dxo) * d.h + (yy + dyo)) * d.t + dto;
+                    const float* grow = g + (xx * d.h + yy) * d.t;
+                    for (int64_t tt = t0; tt < t1; ++tt) {
+                      acc += grow[tt] * srow[tt];
+                    }
+                  }
+                }
+                gwcube[(kx * d.k + ky) * d.k + kt] +=
+                    static_cast<float>(acc);
+              }
+            }
+          }
+        }
+      }
+    });
   }
 }
 
-// Row-parallel triple loop (moved from tensor/tensor_ops.cc) extended
+// Row-major triple loop (moved from tensor/tensor_ops.cc) extended
 // with transpose flags and accumulate. Transposed operands are packed
 // contiguous through the arena — the same memory walk the old
-// Transpose2d-then-MatMul hot path performed (so `parallel` results
-// stay bitwise identical to it), minus its per-call allocations. Each
-// output row is owned by one chunk and its k-loop runs in serial order.
-template <typename Exec>
+// Transpose2d-then-MatMul hot path performed, minus its per-call
+// allocations. Each output row's k-loop runs in serial order.
 void MatMulImpl(const MatMulSpec& s, const float* a, const float* b, float* c) {
-  Exec exec;
   ArenaBuffer apack, bpack;
   if (s.trans_a) {
     apack = ArenaBuffer(Arena::Global(), s.m * s.k);
@@ -383,7 +345,7 @@ void MatMulImpl(const MatMulSpec& s, const float* a, const float* b, float* c) {
     b = dst;
   }
   if (!s.accumulate) std::fill(c, c + s.m * s.n, 0.0f);
-  exec(0, s.m, GrainForCost(s.k * s.n), [&](int64_t i0, int64_t i1) {
+  Serial(0, s.m, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
       float* crow = c + i * s.n;
       for (int64_t kk = 0; kk < s.k; ++kk) {
@@ -403,86 +365,42 @@ void RefConv1dFwd(const Conv1dDims& d, const Tensor& x, const Tensor& w,
                   Tensor* out) {
   ET_TRACE_SPAN("conv1d.fwd.ref");
   ET_METRIC_COUNTER_ADD("kernel.conv1d_fwd.reference", 1);
-  Conv1dFwdImpl<SerialExec>(d, x, w, out);
+  Conv1dFwdImpl(d, x, w, out);
 }
 void RefConv1dBwd(const Conv1dDims& d, const Tensor& x, const Tensor& w,
                   const Tensor& gout, Tensor* gx, Tensor* gw) {
   ET_TRACE_SPAN("conv1d.bwd.ref");
   ET_METRIC_COUNTER_ADD("kernel.conv1d_bwd.reference", 1);
-  Conv1dBwdImpl<SerialExec>(d, x, w, gout, gx, gw);
+  Conv1dBwdImpl(d, x, w, gout, gx, gw);
 }
 void RefConv2dFwd(const Conv2dDims& d, const Tensor& x, const Tensor& w,
                   Tensor* out) {
   ET_TRACE_SPAN("conv2d.fwd.ref");
   ET_METRIC_COUNTER_ADD("kernel.conv2d_fwd.reference", 1);
-  Conv2dFwdImpl<SerialExec>(d, x, w, out);
+  Conv2dFwdImpl(d, x, w, out);
 }
 void RefConv2dBwd(const Conv2dDims& d, const Tensor& x, const Tensor& w,
                   const Tensor& gout, Tensor* gx, Tensor* gw) {
   ET_TRACE_SPAN("conv2d.bwd.ref");
   ET_METRIC_COUNTER_ADD("kernel.conv2d_bwd.reference", 1);
-  Conv2dBwdImpl<SerialExec>(d, x, w, gout, gx, gw);
+  Conv2dBwdImpl(d, x, w, gout, gx, gw);
 }
 void RefConv3dFwd(const Conv3dDims& d, const Tensor& x, const Tensor& w,
                   Tensor* out) {
   ET_TRACE_SPAN("conv3d.fwd.ref");
   ET_METRIC_COUNTER_ADD("kernel.conv3d_fwd.reference", 1);
-  Conv3dFwdImpl<SerialExec>(d, x, w, out);
+  Conv3dFwdImpl(d, x, w, out);
 }
 void RefConv3dBwd(const Conv3dDims& d, const Tensor& x, const Tensor& w,
                   const Tensor& gout, Tensor* gx, Tensor* gw) {
   ET_TRACE_SPAN("conv3d.bwd.ref");
   ET_METRIC_COUNTER_ADD("kernel.conv3d_bwd.reference", 1);
-  Conv3dBwdImpl<SerialExec>(d, x, w, gout, gx, gw);
+  Conv3dBwdImpl(d, x, w, gout, gx, gw);
 }
 void RefMatMul(const MatMulSpec& s, const float* a, const float* b, float* c) {
   ET_TRACE_SPAN("matmul.ref");
   ET_METRIC_COUNTER_ADD("kernel.matmul.reference", 1);
-  MatMulImpl<SerialExec>(s, a, b, c);
-}
-
-// The parallel spans keep the pre-registry names ("conv3d.fwd", ...)
-// so existing trace/telemetry trajectories stay comparable across PRs.
-void ParConv1dFwd(const Conv1dDims& d, const Tensor& x, const Tensor& w,
-                  Tensor* out) {
-  ET_TRACE_SPAN("conv1d.fwd");
-  ET_METRIC_COUNTER_ADD("kernel.conv1d_fwd.parallel", 1);
-  Conv1dFwdImpl<ParallelExec>(d, x, w, out);
-}
-void ParConv1dBwd(const Conv1dDims& d, const Tensor& x, const Tensor& w,
-                  const Tensor& gout, Tensor* gx, Tensor* gw) {
-  ET_TRACE_SPAN("conv1d.bwd");
-  ET_METRIC_COUNTER_ADD("kernel.conv1d_bwd.parallel", 1);
-  Conv1dBwdImpl<ParallelExec>(d, x, w, gout, gx, gw);
-}
-void ParConv2dFwd(const Conv2dDims& d, const Tensor& x, const Tensor& w,
-                  Tensor* out) {
-  ET_TRACE_SPAN("conv2d.fwd");
-  ET_METRIC_COUNTER_ADD("kernel.conv2d_fwd.parallel", 1);
-  Conv2dFwdImpl<ParallelExec>(d, x, w, out);
-}
-void ParConv2dBwd(const Conv2dDims& d, const Tensor& x, const Tensor& w,
-                  const Tensor& gout, Tensor* gx, Tensor* gw) {
-  ET_TRACE_SPAN("conv2d.bwd");
-  ET_METRIC_COUNTER_ADD("kernel.conv2d_bwd.parallel", 1);
-  Conv2dBwdImpl<ParallelExec>(d, x, w, gout, gx, gw);
-}
-void ParConv3dFwd(const Conv3dDims& d, const Tensor& x, const Tensor& w,
-                  Tensor* out) {
-  ET_TRACE_SPAN("conv3d.fwd");
-  ET_METRIC_COUNTER_ADD("kernel.conv3d_fwd.parallel", 1);
-  Conv3dFwdImpl<ParallelExec>(d, x, w, out);
-}
-void ParConv3dBwd(const Conv3dDims& d, const Tensor& x, const Tensor& w,
-                  const Tensor& gout, Tensor* gx, Tensor* gw) {
-  ET_TRACE_SPAN("conv3d.bwd");
-  ET_METRIC_COUNTER_ADD("kernel.conv3d_bwd.parallel", 1);
-  Conv3dBwdImpl<ParallelExec>(d, x, w, gout, gx, gw);
-}
-void ParMatMul(const MatMulSpec& s, const float* a, const float* b, float* c) {
-  ET_TRACE_SPAN("matmul");
-  ET_METRIC_COUNTER_ADD("kernel.matmul.parallel", 1);
-  MatMulImpl<ParallelExec>(s, a, b, c);
+  MatMulImpl(s, a, b, c);
 }
 
 }  // namespace
@@ -496,14 +414,6 @@ void RegisterNaiveKernels() {
     RegisterKernelFn<Conv3dFwdFn>("conv3d_fwd", "reference", RefConv3dFwd);
     RegisterKernelFn<Conv3dBwdFn>("conv3d_bwd", "reference", RefConv3dBwd);
     RegisterKernelFn<MatMulFn>("matmul", "reference", RefMatMul);
-
-    RegisterKernelFn<Conv1dFwdFn>("conv1d_fwd", "parallel", ParConv1dFwd);
-    RegisterKernelFn<Conv1dBwdFn>("conv1d_bwd", "parallel", ParConv1dBwd);
-    RegisterKernelFn<Conv2dFwdFn>("conv2d_fwd", "parallel", ParConv2dFwd);
-    RegisterKernelFn<Conv2dBwdFn>("conv2d_bwd", "parallel", ParConv2dBwd);
-    RegisterKernelFn<Conv3dFwdFn>("conv3d_fwd", "parallel", ParConv3dFwd);
-    RegisterKernelFn<Conv3dBwdFn>("conv3d_bwd", "parallel", ParConv3dBwd);
-    RegisterKernelFn<MatMulFn>("matmul", "parallel", ParMatMul);
     return true;
   }();
   (void)registered;

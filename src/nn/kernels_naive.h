@@ -4,11 +4,11 @@
 namespace equitensor {
 namespace backend {
 
-/// Registers the `reference` (serial scalar loops) and `parallel`
-/// (ParallelFor owner-computes) kernel sets with the backend registry.
-/// Called by the registry itself on first use — static archives drop
-/// unreferenced self-registering TUs, so registration is an explicit
-/// call instead of a global constructor. Idempotent.
+/// Registers the `reference` kernel set (serial scalar loops, the
+/// semantics oracle) with the backend registry. Called by the registry
+/// itself on first use — static archives drop unreferenced
+/// self-registering TUs, so registration is an explicit call instead
+/// of a global constructor. Idempotent.
 void RegisterNaiveKernels();
 
 }  // namespace backend

@@ -6,13 +6,13 @@
 namespace equitensor {
 namespace backend {
 
-/// Registers the `simd` kernel set: conv1d/2d/3d forward and backward
-/// lowered to im2col + blocked GEMM, and the GEMM itself with an
-/// AVX2/FMA 6x16 micro-kernel (runtime cpu dispatch; portable blocked
-/// fallback elsewhere). All scratch — im2col matrices, transpose
-/// packs — is leased from util/arena, so steady-state execution does
-/// no heap allocation. Idempotent; called by the registry on first
-/// use.
+/// Registers the base ops of the `fast` backend: conv1d/2d/3d forward
+/// and backward lowered to im2col + blocked GEMM, and the GEMM itself
+/// with an AVX2/FMA 6x16 micro-kernel and masked-AVX2 partial-width
+/// tiles (runtime cpu dispatch; portable blocked fallback elsewhere).
+/// All scratch — packed operand panels, transpose packs — is leased
+/// from util/arena, so steady-state execution does no heap allocation.
+/// Idempotent; called by the registry on first use.
 void RegisterSimdKernels();
 
 /// True when the AVX2/FMA micro-kernel was selected at startup; false
@@ -21,15 +21,31 @@ bool SimdKernelsUseAvx2();
 
 /// Blocked row-major single-precision GEMM, exposed for tests and
 /// benches: C[m, n] = A[m, k] · B[k, n] (+= when `accumulate`).
-/// Deterministic for any thread count: the block grid is a pure
-/// function of (m, n, k) and every C element accumulates in a fixed
-/// serial k order.
+/// Deterministic for any thread count: the column tiles and k blocks
+/// are a pure function of (m, n, k), every C element accumulates in a
+/// fixed serial k order, and threads only split whole row blocks.
 void GemmRowMajor(int64_t m, int64_t n, int64_t k, const float* a,
                   int64_t lda, const float* b, int64_t ldb, float* c,
                   int64_t ldc, bool accumulate);
 
-/// Unified conv geometry shared by the simd lowering and the fused
-/// executor: a 1d conv is a 3d conv with w = h = 1 and a temporal-only
+/// Micro-tile extents of the GEMM: packed A holds kGemmTileRows rows
+/// per k step, packed B kGemmTileCols columns.
+inline constexpr int64_t kGemmTileRows = 6;
+inline constexpr int64_t kGemmTileCols = 16;
+
+/// The GEMM's partial-width tile (nr < kGemmTileCols live columns),
+/// exposed for tests: writes (`first`) or adds the mr x nr product of
+/// packed operands into C — A as kc groups of kGemmTileRows, B as kc
+/// lines of kGemmTileCols, zero past column nr. `vectorized` selects
+/// the masked-AVX2 tile (requires SimdKernelsUseAvx2()), otherwise the
+/// scalar fallback. Both round each multiply and each add separately,
+/// in the same k order, so they agree bit for bit.
+void GemmEdgeTile(bool vectorized, int64_t mr, int64_t nr, int64_t kc,
+                  const float* a, const float* b, float* c, int64_t ldc,
+                  bool first);
+
+/// Unified conv geometry shared by the im2col lowering and the fused
+/// kernels: a 1d conv is a 3d conv with w = h = 1 and a temporal-only
 /// kernel, a 2d conv one with t = 1.
 struct SimdConvGeom {
   int64_t batch, cin, cout;
@@ -43,9 +59,9 @@ struct SimdConvGeom {
 /// w*h*t floats, dense). A single dense tensor is the special case
 /// chan_base[ci] = x + ci*p, chan_stride[ci] = cin*p; a channel
 /// concat folds in by pointing channels at the source parts instead —
-/// the im2col matrix it produces is IDENTICAL either way, so the
-/// folded conv is bitwise equal to conv-after-materialized-concat on
-/// this backend. `out` ([batch, cout, p]) is overwritten.
+/// the im2col values it reads are IDENTICAL either way, so the folded
+/// conv is bitwise equal to conv-after-materialized-concat. `out`
+/// ([batch, cout, p]) is overwritten.
 void SimdConvForwardGather(const SimdConvGeom& g, const float* const* chan_base,
                            const int64_t* chan_stride, const float* w,
                            float* out);

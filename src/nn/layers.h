@@ -113,7 +113,7 @@ class ConvStack : public Module {
   const std::string& observe_name() const { return observe_name_; }
 
   /// The stack's own sealed single-input graph (what Forward runs on a
-  /// fused backend); exposed for tests and diagnostics.
+  /// fused-graph backend); exposed for tests and diagnostics.
   const GraphIr& ir() const { return *ir_; }
 
  private:

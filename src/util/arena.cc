@@ -148,4 +148,41 @@ void ArenaBuffer::Zero() {
   }
 }
 
+namespace {
+
+// Span stride: whole 64-byte lines, so every slot stays aligned.
+int64_t SlotStride(int64_t per_worker) {
+  constexpr int64_t kLineFloats = 64 / sizeof(float);
+  return (per_worker + kLineFloats - 1) / kLineFloats * kLineFloats;
+}
+
+}  // namespace
+
+WorkerScratch::WorkerScratch(Arena& arena, int64_t slots, int64_t per_worker)
+    : buf_(arena, std::max<int64_t>(1, slots) * SlotStride(per_worker)),
+      stride_(SlotStride(per_worker)),
+      busy_(static_cast<size_t>(std::max<int64_t>(1, slots)), false) {
+  ET_CHECK_GT(per_worker, 0) << "worker scratch of empty spans";
+}
+
+WorkerScratch::Slot WorkerScratch::Claim() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (size_t i = 0; i < busy_.size(); ++i) {
+    if (!busy_[i]) {
+      busy_[i] = true;
+      const int64_t index = static_cast<int64_t>(i);
+      return Slot(this, index, buf_.data() + index * stride_);
+    }
+  }
+  ET_CHECK(false) << "more concurrent bodies than worker scratch slots ("
+                  << busy_.size() << ")";
+  return Slot(this, -1, nullptr);
+}
+
+WorkerScratch::Slot::~Slot() {
+  if (index_ < 0) return;
+  std::lock_guard<std::mutex> lock(owner_->mu_);
+  owner_->busy_[static_cast<size_t>(index_)] = false;
+}
+
 }  // namespace equitensor

@@ -23,8 +23,10 @@ namespace equitensor {
 /// that need zeroed scratch must clear the span they use.
 ///
 /// Thread safety: all operations take the arena mutex. Kernels
-/// acquire scratch once per op invocation (never inside ParallelFor
-/// bodies), so the lock is far off the inner-loop path.
+/// acquire scratch once per op invocation, never inside ParallelFor
+/// bodies: per-worker scratch is one WorkerScratch lease taken before
+/// the region starts, so the lock is far off the inner-loop path and
+/// the acquire count does not depend on how the pool overlaps bodies.
 ///
 /// Alignment: every buffer starts on a 64-byte (cache line) boundary,
 /// so vector kernels may use aligned and non-temporal stores on any
@@ -132,6 +134,49 @@ class ArenaBuffer {
   Arena::Buf buf_;
   int64_t count_ = 0;
   int64_t size_class_ = 0;
+};
+
+/// Per-worker scratch for one parallel region: a single arena lease of
+/// `slots` spans of `per_worker` floats, taken before the region
+/// starts; each running ParallelFor body claims a free span for its
+/// duration. A lease per body instead would make the allocation count
+/// depend on the schedule — the first step in which two bodies happen
+/// to overlap would malloc a second buffer, long after warm-up.
+/// `slots` must cover the bodies that can run at once: ParallelWidth()
+/// (util/thread_pool.h), capped by the number of work items. Every
+/// span starts on a 64-byte boundary.
+class WorkerScratch {
+ public:
+  WorkerScratch(Arena& arena, int64_t slots, int64_t per_worker);
+  WorkerScratch(const WorkerScratch&) = delete;
+  WorkerScratch& operator=(const WorkerScratch&) = delete;
+
+  /// RAII claim of one span; hands it back on destruction.
+  class Slot {
+   public:
+    ~Slot();
+    Slot(const Slot&) = delete;
+    Slot& operator=(const Slot&) = delete;
+    float* data() const { return data_; }
+
+   private:
+    friend class WorkerScratch;
+    Slot(WorkerScratch* owner, int64_t index, float* data)
+        : owner_(owner), index_(index), data_(data) {}
+    WorkerScratch* owner_;
+    int64_t index_;
+    float* data_;
+  };
+
+  /// Claims a free span; aborts if every slot is taken (more
+  /// concurrent bodies than `slots`).
+  Slot Claim();
+
+ private:
+  ArenaBuffer buf_;
+  int64_t stride_;
+  std::mutex mu_;
+  std::vector<bool> busy_;
 };
 
 }  // namespace equitensor

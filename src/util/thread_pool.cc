@@ -171,6 +171,8 @@ int NumThreads() {
   return n > kMaxThreads ? kMaxThreads : n;
 }
 
+int ParallelWidth() { return tls_in_parallel_region ? 1 : NumThreads(); }
+
 TaskPool::TaskPool(int threads, size_t queue_capacity)
     : capacity_(queue_capacity) {
   if (threads < 1) threads = 1;

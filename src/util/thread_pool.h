@@ -41,6 +41,12 @@ void SetNumThreads(int n);
 /// Effective thread count the next parallel region will use (>= 1).
 int NumThreads();
 
+/// Most bodies a `ParallelFor` issued from the calling thread can run
+/// at once: 1 inside a parallel region (nested regions run inline),
+/// else NumThreads(). Kernels size per-worker scratch by it before the
+/// region starts (see WorkerScratch in util/arena.h).
+int ParallelWidth();
+
 /// Runs `fn(chunk_begin, chunk_end)` over a partition of [begin, end)
 /// into contiguous chunks of at least `grain` indices (grain < 1 is
 /// treated as 1). Chunks execute concurrently on the global pool; the

@@ -20,7 +20,7 @@ class ArenaTest : public ::testing::Test {
  protected:
   void SetUp() override { Arena::Global().ResetForTesting(); }
   void TearDown() override {
-    backend::SetBackend(backend::Backend::kParallel);
+    backend::SetBackend(backend::Backend::kFast);
     SetNumThreads(0);
   }
 };
@@ -139,7 +139,7 @@ void TrainStep(const Tensor& x, const Tensor& w, const Tensor& a,
 }
 
 TEST_F(ArenaTest, SteadyStateTrainingLoopStopsAllocating) {
-  backend::SetBackend(backend::Backend::kSimd);
+  backend::SetBackend(backend::Backend::kFast);
   SetNumThreads(2);
   Rng rng(5);
   Tensor x = Tensor::RandomUniform({2, 3, 6, 5, 4}, rng);
@@ -149,7 +149,7 @@ TEST_F(ArenaTest, SteadyStateTrainingLoopStopsAllocating) {
 
   TrainStep(x, w, a, b);  // warm-up plans every scratch shape
   const uint64_t warm = Arena::Global().stats().allocations;
-  EXPECT_GT(warm, 0u) << "simd kernels should lease arena scratch";
+  EXPECT_GT(warm, 0u) << "fast kernels should lease arena scratch";
 
   for (int step = 0; step < 5; ++step) TrainStep(x, w, a, b);
   const Arena::Stats after = Arena::Global().stats();
@@ -159,8 +159,8 @@ TEST_F(ArenaTest, SteadyStateTrainingLoopStopsAllocating) {
   EXPECT_EQ(after.outstanding, 0u) << "scratch leaked past the op";
 }
 
-TEST_F(ArenaTest, ParallelBackendMatMulPackingReusesArena) {
-  backend::SetBackend(backend::Backend::kParallel);
+TEST_F(ArenaTest, ReferenceBackendMatMulPackingReusesArena) {
+  backend::SetBackend(backend::Backend::kReference);
   Rng rng(6);
   // Gradient GEMMs pack transposed operands through the arena.
   Tensor a = Tensor::RandomUniform({12, 20}, rng);

@@ -304,7 +304,7 @@ TEST(GradCheckTest, AdversaryLossMatchesFiniteDifferences) {
 // Fused backward paths (DESIGN.md §15). The fused ops compute their
 // whole backward — act' from the output, bias reduction, conv
 // gather/scatter — inside one kernel; finite differences validate that
-// composition directly under the fused backend. Activations stay
+// composition directly under the fast backend. Activations stay
 // smooth (sigmoid/tanh/linear) so the quotients are well conditioned;
 // the relu epilogue's parity with eager is covered by
 // fusion_parity_test's differential fuzz.
@@ -312,11 +312,11 @@ TEST(GradCheckTest, AdversaryLossMatchesFiniteDifferences) {
 
 struct ScopedBackend {
   explicit ScopedBackend(backend::Backend b) { backend::SetBackend(b); }
-  ~ScopedBackend() { backend::SetBackend(backend::Backend::kParallel); }
+  ~ScopedBackend() { backend::SetBackend(backend::Backend::kFast); }
 };
 
 TEST(GradCheckTest, FusedConvBiasActMatchesFiniteDifferences) {
-  ScopedBackend scoped(backend::Backend::kFused);
+  ScopedBackend scoped(backend::Backend::kFast);
   struct FusedCase {
     const char* name;
     std::vector<int64_t> x_shape, w_shape;
@@ -355,7 +355,7 @@ TEST(GradCheckTest, FusedConvBiasActMatchesFiniteDifferences) {
 }
 
 TEST(GradCheckTest, FusedConcatConvBiasActMatchesFiniteDifferences) {
-  ScopedBackend scoped(backend::Backend::kFused);
+  ScopedBackend scoped(backend::Backend::kFast);
   Rng rng(3033);
   // Three parts with distinct channel counts; the fused kernel gathers
   // them as a virtual [1, 6, 3, 2, 4] input.

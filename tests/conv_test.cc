@@ -102,6 +102,9 @@ struct ConvGradCase {
   int rank;
 };
 
+// Prints the case name, so test names carry no pointer bytes.
+void PrintTo(const ConvGradCase& c, std::ostream* os) { *os << c.name; }
+
 class ConvGradTest : public ::testing::TestWithParam<ConvGradCase> {};
 
 TEST_P(ConvGradTest, MatchesFiniteDifferences) {

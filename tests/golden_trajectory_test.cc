@@ -17,11 +17,10 @@ namespace {
 // Golden loss/fairness trajectory (DESIGN.md §15): a tiny adversarial
 // training run hashed over every deterministic EpochLog field. The
 // backend determinism contract says the hash must be identical across
-// thread counts for a fixed backend, reference == parallel (same float
-// expressions), and fused == simd (the fused kernels share the simd
-// conv lowering and replicate its epilogues bitwise). The committed
-// constants pin the trajectory itself so a silent numeric change in
-// any kernel, the trainer, or the fairness audit fails loudly.
+// thread counts for a fixed backend. The committed constants pin the
+// reference and fast trajectories themselves so a silent numeric
+// change in any kernel, the trainer, or the fairness audit fails
+// loudly.
 
 data::CityConfig TinyCity() {
   data::CityConfig config;
@@ -109,7 +108,7 @@ class GoldenTrajectoryTest : public ::testing::Test {
     bundle_ = nullptr;
   }
   ~GoldenTrajectoryTest() override {
-    backend::SetBackend(backend::Backend::kParallel);
+    backend::SetBackend(backend::Backend::kFast);
     SetNumThreads(0);
   }
 
@@ -133,48 +132,25 @@ data::UrbanDataBundle* GoldenTrajectoryTest::bundle_ = nullptr;
 std::vector<data::AlignedDataset>* GoldenTrajectoryTest::slim_ = nullptr;
 
 // Golden constants, generated at threads=1 on this repo's pinned
-// toolchain. The scalar group (reference/parallel) never depends on
-// the SIMD code paths; the vector group (simd/fused) is additionally
-// gated on the accelerator actually being active, since the simd
-// kernels fall back to scalar loops otherwise.
+// toolchain. The scalar trajectory (reference) never depends on the
+// SIMD code paths; the vector trajectory (fast) is additionally gated
+// on the accelerator actually being active, since the fast kernels
+// fall back to scalar loops otherwise.
 constexpr uint64_t kScalarGolden = 0x96c23046d4c67d15ull;
 constexpr uint64_t kVectorGolden = 0xca26f56a2f6d433full;
 
 TEST_F(GoldenTrajectoryTest, EveryBackendReproducesItsGoldenHashPerThreadCount) {
-  struct Group {
-    backend::Backend backend;
-    const char* name;
-  };
-  const Group scalar_group[] = {{backend::Backend::kReference, "reference"},
-                                {backend::Backend::kParallel, "parallel"}};
-  const Group vector_group[] = {{backend::Backend::kSimd, "simd"},
-                                {backend::Backend::kFused, "fused"}};
-
-  uint64_t scalar_hash = 0, vector_hash = 0;
-  bool first_scalar = true, first_vector = true;
-  for (const Group& g : scalar_group) {
-    for (const int threads : {1, 2, 8}) {
-      const uint64_t h = Run(g.backend, threads);
-      if (first_scalar) {
-        scalar_hash = h;
-        first_scalar = false;
-      }
-      EXPECT_EQ(h, scalar_hash)
-          << g.name << " at " << threads
-          << " threads diverged from the scalar-group trajectory";
-    }
-  }
-  for (const Group& g : vector_group) {
-    for (const int threads : {1, 2, 8}) {
-      const uint64_t h = Run(g.backend, threads);
-      if (first_vector) {
-        vector_hash = h;
-        first_vector = false;
-      }
-      EXPECT_EQ(h, vector_hash)
-          << g.name << " at " << threads
-          << " threads diverged from the vector-group trajectory";
-    }
+  // The reference kernels are serial and every other op is shared with
+  // the fast backend, whose runs below check thread-count invariance,
+  // so one reference run stands for all thread counts.
+  const uint64_t scalar_hash = Run(backend::Backend::kReference, 1);
+  uint64_t vector_hash = 0;
+  for (const int threads : {1, 2, 8}) {
+    const uint64_t h = Run(backend::Backend::kFast, threads);
+    if (threads == 1) vector_hash = h;
+    EXPECT_EQ(h, vector_hash)
+        << "fast at " << threads
+        << " threads diverged from the vector-group trajectory";
   }
 
   std::printf("[golden] scalar=0x%llxull vector=0x%llxull simd_active=%d\n",
@@ -187,7 +163,7 @@ TEST_F(GoldenTrajectoryTest, EveryBackendReproducesItsGoldenHashPerThreadCount) 
     EXPECT_EQ(vector_hash, kVectorGolden)
         << "vector trajectory changed; if intentional, update kVectorGolden";
   } else {
-    // Without the accelerator the simd kernels run their scalar
+    // Without the accelerator the fast kernels run their scalar
     // fallbacks, which are the reference expressions.
     EXPECT_EQ(vector_hash, kScalarGolden);
   }

@@ -159,8 +159,7 @@ TEST(ServingModelTest, BatchedForwardIsBitwiseEqualToUnbatchedOnAllBackends) {
   ASSERT_TRUE(SaveServingCheckpoint(path, MakeArtifacts()));
   const backend::Backend original = backend::CurrentBackend();
   for (const backend::Backend be :
-       {backend::Backend::kReference, backend::Backend::kParallel,
-        backend::Backend::kSimd}) {
+       {backend::Backend::kReference, backend::Backend::kFast}) {
     backend::SetBackend(be);
     std::string error;
     const auto model = LoadServingModel(path, TinyTask(), 1, &error);

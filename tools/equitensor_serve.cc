@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
                   "worker threads for the parallel kernels "
                   "(0 = ET_THREADS env var, then all cores; 1 = serial)");
   flags.DefineString("backend", "",
-                     "kernel backend: reference | parallel | simd | check "
-                     "(empty = ET_BACKEND env var, then parallel)");
+                     "kernel backend: " + backend::BackendNameList() +
+                         " (empty = ET_BACKEND env var, then fast)");
   flags.DefineBool("observe", true,
                    "record per-request stage timelines (histograms, "
                    "/debug endpoints, access log); false = bare-metal "
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
     backend::Backend be;
     if (!backend::ParseBackend(backend_name, &be)) {
       std::cerr << "--backend=" << backend_name
-                << " is not a backend (reference | parallel | simd | check)\n";
+                << " is not a backend (" << backend::BackendNameList() << ")\n";
       return 2;
     }
     backend::SetBackend(be);

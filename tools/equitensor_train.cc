@@ -113,10 +113,9 @@ int main(int argc, char** argv) {
                   "worker threads for the parallel kernels "
                   "(0 = ET_THREADS env var, then all cores; 1 = serial)");
   flags.DefineString("backend", "",
-                     "kernel backend: reference | parallel | simd | fused | check "
-                     "(empty = ET_BACKEND env var, then parallel; fused runs "
-                     "the static-graph fused schedule; check self-verifies "
-                     "every dispatch against reference)");
+                     "kernel backend: " + backend::BackendNameList() +
+                         " (empty = ET_BACKEND env var, then fast; check "
+                         "self-verifies every dispatch against reference)");
 
   if (!flags.Parse(argc, argv)) {
     std::cerr << flags.error() << "\n";
@@ -138,7 +137,7 @@ int main(int argc, char** argv) {
     backend::Backend be;
     if (!backend::ParseBackend(backend_name, &be)) {
       std::cerr << "--backend=" << backend_name
-                << " is not a backend (reference | parallel | simd | fused | check)\n";
+                << " is not a backend (" << backend::BackendNameList() << ")\n";
       return 2;
     }
     backend::SetBackend(be);
