@@ -156,12 +156,14 @@ if [[ "$QUICK" != 1 ]]; then
   # Default-backend smoke (DESIGN.md §15): the same tiny run through
   # the fast backend's static graph schedule (fused conv+bias+act
   # kernels, concat folded into the shared encoder's gather) under the
-  # sanitizers.
+  # sanitizers, observed by the per-step numerics sentinel's hook so
+  # the labeled-node observation path (§11) runs too.
   echo "=== backend=fast graph-schedule smoke ==="
   "$BUILD_DIR"/tools/equitensor_train \
     --width=6 --height=5 --days=4 --epochs=1 --steps=2 --batch=2 \
-    --backend=fast --output_z="$(mktemp -u).etck" >/dev/null
-  echo "Fast backend OK (graph schedule trained end to end)."
+    --backend=fast --nan_check=step --output_z="$(mktemp -u).etck" \
+    >/dev/null
+  echo "Fast backend OK (observed graph schedule trained end to end)."
 
   # Serving smoke (DESIGN.md §14/§16): train a tiny model with a
   # serving bundle, bring up equitensor_serve under the sanitizers with

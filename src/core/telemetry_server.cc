@@ -1,6 +1,6 @@
 #include "core/telemetry_server.h"
 
-#include <cstring>
+#include <utility>
 
 #include "core/debug_endpoints.h"
 #include "util/metrics.h"
@@ -11,49 +11,24 @@
 namespace equitensor {
 namespace core {
 
-SnapshotCell::SnapshotCell(size_t capacity) : capacity_(capacity) {
-  for (Slot& slot : slots_) slot.data.resize(capacity_);
-}
-
-void SnapshotCell::Publish(const std::string& doc) {
-  const char* src = doc.data();
-  size_t n = doc.size();
-  static const char kOversize[] = "{\"error\":\"snapshot too large\"}";
-  if (n > capacity_) {
-    src = kOversize;
-    n = sizeof(kOversize) - 1;
-  }
-  const int cur = active_.load(std::memory_order_relaxed);
-  const int next = cur == 0 ? 1 : 0;  // covers the initial -1 too
-  Slot& slot = slots_[next];
-  // Odd sequence marks the slot dirty. Readers of the *other* slot are
-  // unaffected; a reader that raced a previous publish into this slot
-  // sees the odd value (or a changed one after copying) and retries.
-  slot.seq.fetch_add(1, std::memory_order_acq_rel);
-  // Benign-by-protocol race: the memcpy may overlap a straggling
-  // reader's copy of this slot, which the seq recheck then discards.
-  std::memcpy(slot.data.data(), src, n);
-  slot.len.store(n, std::memory_order_release);
-  slot.seq.fetch_add(1, std::memory_order_release);
-  active_.store(next, std::memory_order_release);
+void SnapshotCell::Publish(std::string doc) {
+  // Built before, and the old document freed after, the critical
+  // section.
+  std::shared_ptr<const std::string> next =
+      std::make_shared<const std::string>(std::move(doc));
+  std::lock_guard<std::mutex> lock(mu_);
+  doc_.swap(next);
 }
 
 bool SnapshotCell::Read(std::string* out) const {
-  for (int attempt = 0; attempt < 1024; ++attempt) {
-    const int idx = active_.load(std::memory_order_acquire);
-    if (idx < 0) return false;
-    const Slot& slot = slots_[idx];
-    const uint64_t seq_before = slot.seq.load(std::memory_order_acquire);
-    if (seq_before & 1) continue;  // writer inside; the swap is imminent
-    const size_t len = slot.len.load(std::memory_order_acquire);
-    std::string copy(slot.data.data(), std::min(len, capacity_));
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) == seq_before) {
-      *out = std::move(copy);
-      return true;
-    }
+  std::shared_ptr<const std::string> doc;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    doc = doc_;
   }
-  return false;  // theoretical: 1024 publishes raced one read
+  if (!doc) return false;
+  *out = *doc;
+  return true;
 }
 
 TelemetryServer::TelemetryServer()

@@ -3,8 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
-#include <vector>
 
 #include "util/http_server.h"
 #include "util/json.h"
@@ -12,40 +13,30 @@
 namespace equitensor {
 namespace core {
 
-/// Lock-free single-writer snapshot cell: a seqlock over a double
-/// buffer (DESIGN.md §12). The training thread Publish()es a rendered
-/// document once per epoch; HTTP workers Read() it at scrape time.
-/// The writer is wait-free (two atomic bumps around a memcpy into the
-/// slot the readers are *not* pointed at), so publishing never blocks
-/// on a slow scrape — the requirement that keeps serving off the
-/// training hot path. Readers copy optimistically and retry when the
-/// sequence moved underneath them; with one publish per epoch a
-/// retry is already rare, a second is practically impossible.
+/// Snapshot cell (DESIGN.md §12): a swapped pointer to an immutable
+/// document. The training thread Publish()es a rendered document once
+/// per epoch; HTTP workers Read() it at scrape time. The lock covers
+/// only the pointer swap or copy — a reader copies the document outside
+/// it — so publishing never waits on a slow scrape, the requirement
+/// that keeps serving off the training hot path. A replaced document
+/// lives until its last reader drops it.
+///
+/// Not std::atomic<std::shared_ptr>: libstdc++ 12's load() reads the
+/// pointer under its lock bit and then releases that bit with a
+/// relaxed RMW, which leaves the read unordered before the next
+/// store's write (ThreadSanitizer reports it).
 class SnapshotCell {
  public:
-  explicit SnapshotCell(size_t capacity = 256 * 1024);
-
-  /// Publishes `doc` (single writer only). Documents larger than the
-  /// capacity are replaced by a small diagnostic JSON object rather
-  /// than truncated into invalid JSON.
-  void Publish(const std::string& doc);
+  /// Publishes `doc`, of any size. Safe from any thread.
+  void Publish(std::string doc);
 
   /// Copies the latest published document; false before the first
   /// Publish. Safe from any thread.
   bool Read(std::string* out) const;
 
-  size_t capacity() const { return capacity_; }
-
  private:
-  struct Slot {
-    std::atomic<uint64_t> seq{0};  // odd while the writer is inside
-    std::atomic<size_t> len{0};
-    std::vector<char> data;
-  };
-
-  const size_t capacity_;
-  Slot slots_[2];
-  std::atomic<int> active_{-1};  // -1 until the first Publish
+  mutable std::mutex mu_;
+  std::shared_ptr<const std::string> doc_;  // guarded by mu_
 };
 
 /// The live observability endpoint of a training run (DESIGN.md §12):

@@ -1,8 +1,6 @@
 #include "models/cdae.h"
 
-#include "autograd/hooks.h"
 #include "autograd/ops.h"
-#include "nn/backend_registry.h"
 #include "nn/graph_ir.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
@@ -73,6 +71,8 @@ CoreCdae::CoreCdae(CdaeConfig config, std::vector<DatasetSpec> specs, Rng& rng)
   for (size_t i = 0; i < specs_.size(); ++i) {
     int id = encode_ir_->AddInput(specs_[i].channels);
     id = encoders_[i]->AppendToIr(encode_ir_.get(), id);
+    // Expand to [N, 1, W, H, T]: temporal [N, 1, T] tiles over W then
+    // H, spatial [N, 1, W, H] over T.
     switch (specs_[i].kind) {
       case data::DatasetKind::kTemporal:
         id = encode_ir_->AddTile(id, 2, config_.grid_w);
@@ -93,38 +93,9 @@ CoreCdae::CoreCdae(CdaeConfig config, std::vector<DatasetSpec> specs, Rng& rng)
 
 CoreCdae::~CoreCdae() = default;
 
-Variable CoreCdae::ExpandTo3d(const Variable& encoded,
-                              data::DatasetKind kind) const {
-  switch (kind) {
-    case data::DatasetKind::kTemporal:
-      // [N, 1, T] -> [N, 1, W, T] -> [N, 1, W, H, T].
-      return ag::TileAt(ag::TileAt(encoded, 2, config_.grid_w), 3,
-                        config_.grid_h);
-    case data::DatasetKind::kSpatial:
-      // [N, 1, W, H] -> [N, 1, W, H, T].
-      return ag::TileAt(encoded, 4, config_.window);
-    case data::DatasetKind::kSpatioTemporal:
-      return encoded;
-  }
-  ET_CHECK(false);
-  return encoded;
-}
-
 Variable CoreCdae::Encode(const std::vector<Variable>& inputs) const {
   ET_CHECK_EQ(static_cast<int64_t>(inputs.size()), dataset_count());
-  // Fused schedule, unless hooks need the eager chain's intermediates
-  // (the encoders carry observe names, so hook runs must stay eager).
-  if (!ag::HooksActive() && backend::FusedGraphActive()) {
-    return encode_ir_->Run(inputs)[0];
-  }
-  std::vector<Variable> expanded;
-  expanded.reserve(inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    Variable encoded = encoders_[i]->Forward(inputs[i]);
-    expanded.push_back(ExpandTo3d(encoded, specs_[i].kind));
-  }
-  Variable merged = ag::Concat(expanded, /*axis=*/1);
-  return shared_encoder_->Forward(merged);
+  return encode_ir_->Run(inputs)[0];
 }
 
 Tensor CoreCdae::EncodeValue(const std::vector<Tensor>& inputs) const {

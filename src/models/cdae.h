@@ -57,11 +57,11 @@ class CoreCdae : public nn::Module {
   /// Encodes one batch. `inputs[i]` must hold dataset i in NN layout
   /// ([N,C,window] / [N,C,W,H] / [N,C,W,H,window]). Returns Z.
   ///
-  /// Under a fused-graph backend (backend::FusedGraphActive) with no
-  /// hooks registered, this runs the model's sealed static schedule
-  /// (nn/graph_ir.h): every conv+bias+activation is one fused dispatch
-  /// and the encoder concat is folded into the shared encoder's first
-  /// conv, so the [N, D, W, H, T] merged tensor never exists.
+  /// Runs the model's sealed static schedule (nn/graph_ir.h): every
+  /// conv+bias+activation is one fused dispatch and the encoder concat
+  /// is folded into the shared encoder's first conv, so on `fast` the
+  /// [N, D, W, H, T] merged tensor never exists. Hooks observe the
+  /// schedule's labeled layer outputs ("cdae.enc<i>.conv<j>", ...).
   Variable Encode(const std::vector<Variable>& inputs) const;
 
   /// The sealed whole-encoder graph (for tests and diagnostics).
@@ -91,9 +91,6 @@ class CoreCdae : public nn::Module {
   std::vector<nn::NamedParameter> NamedParameters() const override;
 
  private:
-  /// Expands a per-dataset encoding to [N, 1, W, H, window].
-  Variable ExpandTo3d(const Variable& encoded, data::DatasetKind kind) const;
-
   CdaeConfig config_;
   std::vector<DatasetSpec> specs_;
   std::vector<std::unique_ptr<nn::ConvStack>> encoders_;

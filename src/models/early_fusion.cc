@@ -1,8 +1,6 @@
 #include "models/early_fusion.h"
 
-#include "autograd/hooks.h"
 #include "autograd/ops.h"
-#include "nn/backend_registry.h"
 #include "nn/graph_ir.h"
 #include "util/check.h"
 
@@ -27,7 +25,7 @@ EarlyFusionCdae::EarlyFusionCdae(CdaeConfig config,
                                              rng, nn::Activation::kLinear);
 
   // Static parts→Z graph: the input concat folds into the encoder's
-  // first conv on a fused-graph backend (DESIGN.md §15).
+  // first conv (DESIGN.md §15).
   parts_ir_ = std::make_unique<nn::GraphIr>();
   std::vector<int> expanded_ids;
   expanded_ids.reserve(specs_.size());
@@ -82,10 +80,7 @@ Variable EarlyFusionCdae::Encode(const Variable& fused) const {
 Variable EarlyFusionCdae::EncodeParts(
     const std::vector<Variable>& inputs) const {
   ET_CHECK_EQ(inputs.size(), specs_.size());
-  if (!ag::HooksActive() && backend::FusedGraphActive()) {
-    return parts_ir_->Run(inputs)[0];
-  }
-  return Encode(FuseInputs(inputs));
+  return parts_ir_->Run(inputs)[0];
 }
 
 Variable EarlyFusionCdae::Decode(const Variable& z) const {

@@ -29,10 +29,10 @@ class EarlyFusionCdae : public nn::Module {
   /// [N, ΣC, W, H, T] -> Z [N, K, W, H, T].
   Variable Encode(const Variable& fused) const;
 
-  /// Encode straight from per-dataset batches. Under a fused-graph
-  /// backend this runs the sealed tiles→concat→encoder schedule, where
-  /// the input concat folds into the encoder's first conv; otherwise
-  /// it is exactly Encode(FuseInputs(inputs)).
+  /// Encode straight from per-dataset batches: runs the sealed
+  /// tiles→concat→encoder schedule, where the input concat folds into
+  /// the encoder's first conv. Bitwise equal to
+  /// Encode(FuseInputs(inputs)).
   Variable EncodeParts(const std::vector<Variable>& inputs) const;
 
   /// The sealed parts→Z graph (for tests and diagnostics).

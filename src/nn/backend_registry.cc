@@ -575,8 +575,6 @@ void MatMul(const MatMulSpec& spec, const float* a, const float* b, float* c) {
   TableFor(be).matmul(spec, a, b, c);
 }
 
-bool FusedGraphActive() { return ActiveBackend() != Backend::kReference; }
-
 void ConvBiasActForward(const ConvBiasActDims& d, const Tensor& x,
                         const Tensor& w, const Tensor& bias, Tensor* out) {
   const Backend b = ActiveBackend();

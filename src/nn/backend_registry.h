@@ -184,12 +184,6 @@ std::string BackendNameList();
 void SetBackend(Backend b);
 Backend CurrentBackend();
 
-/// True when models should execute through their fused graph schedule
-/// (nn/graph_ir.h) instead of eager op chains: the current backend is
-/// `fast`, or `check` (so the self-verifying mode replays every fused
-/// dispatch against its reference decomposition).
-bool FusedGraphActive();
-
 /// True when the CPU executes the AVX2/FMA micro-kernels; false means
 /// the fast backend is running its portable blocked fallback.
 bool SimdAcceleratorActive();

@@ -25,8 +25,10 @@ FusionStats FuseGraph(std::vector<IrNode>* nodes,
   FusionStats stats;
   stats.nodes_before = static_cast<int>(nodes->size());
   std::unordered_set<int> is_output(outputs.begin(), outputs.end());
+  // Outputs and labeled nodes must stay materialized.
   auto fusable = [&](int id, const std::vector<int>& uses) {
-    return uses[id] == 1 && is_output.count(id) == 0;
+    return uses[id] == 1 && is_output.count(id) == 0 &&
+           (*nodes)[id].observe.empty();
   };
 
   // Rule 1: collapse conv → bias (→ act). The terminal node (act, or

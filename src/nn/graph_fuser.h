@@ -14,13 +14,15 @@ namespace nn {
 /// order:
 ///
 ///  1. conv → bias (→ act) chains where every interior edge is
-///     single-use and no interior node is an output collapse into one
-///     kFusedConvBiasAct (act = kLinear for a bias-terminated chain).
+///     single-use and no interior node is an output or carries an
+///     observation label collapse into one kFusedConvBiasAct (act =
+///     kLinear for a bias-terminated chain). The terminal node is
+///     rewritten in place, keeping its label.
 ///  2. a kConcat whose only consumer is a rank-3 kFusedConvBiasAct (and
-///     which is not an output) folds into kFusedConcatConvBiasAct: the
-///     fused node adopts the concat's inputs and the concatenated
-///     tensor is never built — the kernel gathers channels from the
-///     parts directly.
+///     which is neither an output nor labeled) folds into
+///     kFusedConcatConvBiasAct: the fused node adopts the concat's
+///     inputs and the concatenated tensor is never built — the kernel
+///     gathers channels from the parts directly.
 ///
 /// Returns counts of what was rewritten (nodes_after is filled in by
 /// Seal once liveness is known).

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "autograd/conv_ops.h"
+#include "autograd/hooks.h"
 #include "autograd/ops.h"
 #include "nn/backend_registry.h"
 #include "nn/graph_fuser.h"
@@ -96,6 +97,12 @@ void GraphIr::MarkOutput(int id) {
   ET_CHECK(!sealed_);
   ET_CHECK(id >= 0 && id < static_cast<int>(nodes_.size()));
   outputs_.push_back(id);
+}
+
+void GraphIr::SetObserve(int id, std::string point) {
+  ET_CHECK(!sealed_);
+  ET_CHECK(id >= 0 && id < static_cast<int>(nodes_.size()));
+  nodes_[id].observe = std::move(point);
 }
 
 void GraphIr::Seal() {
@@ -199,6 +206,8 @@ std::vector<Variable> GraphIr::Run(const std::vector<Variable>& inputs) const {
         break;
       }
     }
+    // One relaxed load when no hooks are registered.
+    if (!n.observe.empty()) values[id] = ag::Observe(n.observe, values[id]);
   }
   std::vector<Variable> out;
   out.reserve(outputs_.size());

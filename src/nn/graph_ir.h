@@ -1,6 +1,7 @@
 #ifndef EQUITENSOR_NN_GRAPH_IR_H_
 #define EQUITENSOR_NN_GRAPH_IR_H_
 
+#include <string>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -17,8 +18,10 @@ namespace nn {
 /// autograd ops, so fused nodes become single ag::ConvBiasAct /
 /// ag::ConcatConvBiasAct dispatches: the pre-activation tensors and the
 /// encoder-concat intermediate (plus their gradients) are never
-/// materialized. The eager Module::Forward path remains the fallback
-/// whenever hooks need to observe intermediates.
+/// materialized. This is the only forward the models have: on the
+/// `reference` backend the fused dispatches run the registry's
+/// decomposition, and hooks (autograd/hooks.h) observe the nodes that
+/// carry an observation label.
 enum class IrOp {
   kInput,                   // placeholder fed by Run()
   kConv,                    // ag::Conv{1,2,3}d(input, weight)
@@ -43,6 +46,11 @@ struct IrNode {
   int tile_axis = 0;                     // kTile
   int64_t tile_count = 0;                // kTile
   int64_t channels = 0;                  // kInput: declared channel count
+  /// Hook observation point reporting this node's value (and, in
+  /// Backward, its gradient); empty for none. A labeled node is never
+  /// fused away — the fuser only rewrites it in place as a chain's
+  /// terminal, so the label survives fusion.
+  std::string observe;
 };
 
 /// What the fuser did to a sealed graph.
@@ -65,6 +73,8 @@ class GraphIr {
   int AddTile(int input, int axis, int64_t repeat);
   int AddConcat(std::vector<int> inputs);
   void MarkOutput(int id);
+  /// Labels node `id` as the hook observation point `point`.
+  void SetObserve(int id, std::string point);
 
   /// Runs the fuser, drops dead nodes, and freezes the schedule. Must
   /// be called exactly once, after which the graph is immutable.

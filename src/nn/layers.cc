@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "nn/backend_registry.h"
 #include "nn/graph_ir.h"
 #include "nn/init.h"
 #include "util/check.h"
@@ -37,9 +36,7 @@ Variable Linear::Forward(const Variable& x) const {
   Variable y = ag::MatMul(x, weight_);
   y = ag::AddBias(y, bias_, /*channel_axis=*/1);
   y = Activate(y, act_);
-  if (!observe_name_.empty() && ag::HooksActive()) {
-    y = ag::Observe(observe_name_, y);
-  }
+  if (!observe_name_.empty()) y = ag::Observe(observe_name_, y);
   return y;
 }
 
@@ -64,25 +61,6 @@ Conv::Conv(int spatial_rank, int64_t in_channels, int64_t out_channels,
   bias_ = Variable(Tensor({out_channels}), /*requires_grad=*/true);
 }
 
-Variable Conv::Forward(const Variable& x) const {
-  Variable y;
-  switch (spatial_rank_) {
-    case 1:
-      y = ag::Conv1d(x, weight_);
-      break;
-    case 2:
-      y = ag::Conv2d(x, weight_);
-      break;
-    case 3:
-      y = ag::Conv3d(x, weight_);
-      break;
-    default:
-      ET_CHECK(false);
-  }
-  y = ag::AddBias(y, bias_, /*channel_axis=*/1);
-  return Activate(y, act_);
-}
-
 ConvStack::ConvStack(int spatial_rank, int64_t in_channels,
                      std::vector<int64_t> filters, int64_t kernel, Rng& rng,
                      Activation final_act) {
@@ -96,40 +74,38 @@ ConvStack::ConvStack(int spatial_rank, int64_t in_channels,
                                rng, act));
     channels = filters[i];
   }
-  ir_ = std::make_unique<GraphIr>();
-  const int input = ir_->AddInput(in_channels);
-  ir_->MarkOutput(AppendToIr(ir_.get(), input));
-  ir_->Seal();
+  BuildIr();
 }
 
 ConvStack::~ConvStack() = default;
 
+void ConvStack::BuildIr() {
+  ir_ = std::make_unique<GraphIr>();
+  const int input = ir_->AddInput(layers_.front()->in_channels());
+  ir_->MarkOutput(AppendToIr(ir_.get(), input));
+  ir_->Seal();
+}
+
+void ConvStack::SetObserveName(std::string name) {
+  observe_name_ = std::move(name);
+  BuildIr();
+}
+
 int ConvStack::AppendToIr(GraphIr* ir, int input) const {
   int id = input;
-  for (const auto& layer : layers_) {
-    id = ir->AddConv(id, layer->spatial_rank(), layer->weight());
-    id = ir->AddBias(id, layer->bias());
-    id = ir->AddAct(id, layer->activation());
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const Conv& layer = *layers_[i];
+    id = ir->AddConv(id, layer.spatial_rank(), layer.weight());
+    id = ir->AddBias(id, layer.bias());
+    id = ir->AddAct(id, layer.activation());
+    if (!observe_name_.empty()) {
+      ir->SetObserve(id, observe_name_ + ".conv" + std::to_string(i));
+    }
   }
   return id;
 }
 
-Variable ConvStack::Forward(const Variable& x) const {
-  // The observation check is hoisted out of the layer loop: with no
-  // hooks registered a forward pass costs one relaxed atomic load.
-  const bool observing = !observe_name_.empty() && ag::HooksActive();
-  // Fused-graph backends execute the sealed schedule — unless hooks
-  // need the eager chain's intermediates.
-  if (!observing && backend::FusedGraphActive()) return ir_->Run1(x);
-  Variable y = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    y = layers_[i]->Forward(y);
-    if (observing) {
-      y = ag::Observe(observe_name_ + ".conv" + std::to_string(i), y);
-    }
-  }
-  return y;
-}
+Variable ConvStack::Forward(const Variable& x) const { return ir_->Run1(x); }
 
 std::vector<Variable> ConvStack::Parameters() const {
   std::vector<Variable> params;

@@ -48,14 +48,15 @@ class Linear : public Module {
   std::string observe_name_;
 };
 
-/// Convolutional layer with stride 1 and same padding; `spatial_rank`
-/// selects Conv1d/2d/3d. Input layouts per autograd/conv_ops.h.
+/// Parameters of one convolutional layer with stride 1 and same
+/// padding; `spatial_rank` selects Conv1d/2d/3d (input layouts per
+/// autograd/conv_ops.h). It has no forward of its own: ConvStack
+/// appends it to a sealed graph (nn/graph_ir.h), which runs it.
 class Conv : public Module {
  public:
   Conv(int spatial_rank, int64_t in_channels, int64_t out_channels,
        int64_t kernel, Rng& rng, Activation act = Activation::kRelu);
 
-  Variable Forward(const Variable& x) const;
   std::vector<Variable> Parameters() const override { return {weight_, bias_}; }
   std::vector<NamedParameter> NamedParameters() const override {
     return {{"weight", weight_}, {"bias", bias_}};
@@ -91,15 +92,14 @@ class ConvStack : public Module {
             Activation final_act = Activation::kLinear);
   ~ConvStack();  // out of line: GraphIr is incomplete here
 
-  /// Runs the stack. Under a fused-graph backend (backend ::
-  /// FusedGraphActive) and with no hooks observing, this executes the
-  /// stack's sealed fused schedule instead of the eager layer loop —
-  /// same values bitwise on a fixed backend, fewer intermediates.
+  /// Runs the stack's sealed fused schedule (one fused dispatch per
+  /// layer on every backend; `reference` decomposes it).
   Variable Forward(const Variable& x) const;
 
-  /// Appends this stack's layers to `ir` starting from node `input`;
-  /// returns the stack's output node id. Used by models composing
-  /// several stacks into one graph.
+  /// Appends this stack's layers to `ir` starting from node `input`,
+  /// labeling each layer's last node "<observe_name>.conv<i>" when the
+  /// stack is named; returns the stack's output node id. Used by models
+  /// composing several stacks into one graph.
   int AppendToIr(GraphIr* ir, int input) const;
   std::vector<Variable> Parameters() const override;
   /// Names layers as "conv<i>.weight" / "conv<i>.bias".
@@ -109,14 +109,18 @@ class ConvStack : public Module {
 
   /// Names the stack's layers as hook observation points
   /// "<name>.conv<i>" (autograd/hooks.h); empty disables observation.
-  void SetObserveName(std::string name) { observe_name_ = std::move(name); }
+  /// Reseals the stack's own graph; name a stack before appending it
+  /// to a model graph.
+  void SetObserveName(std::string name);
   const std::string& observe_name() const { return observe_name_; }
 
-  /// The stack's own sealed single-input graph (what Forward runs on a
-  /// fused-graph backend); exposed for tests and diagnostics.
+  /// The stack's own sealed single-input graph (what Forward runs);
+  /// exposed for tests and diagnostics.
   const GraphIr& ir() const { return *ir_; }
 
  private:
+  void BuildIr();
+
   std::vector<std::unique_ptr<Conv>> layers_;
   std::unique_ptr<GraphIr> ir_;
   std::string observe_name_;

@@ -121,10 +121,8 @@ class StageScope {
 /// Lock-free ring of the last K timelines. Multi-writer: a writer
 /// claims a slot with one fetch_add on the cursor, then publishes
 /// through that slot's seqlock (odd while writing). Readers copy
-/// optimistically and skip slots that move underneath them — the same
-/// seqlock discipline as core/telemetry_server's SnapshotCell, per
-/// slot instead of double-buffered, so scraping /debug/requests never
-/// blocks a request completion.
+/// optimistically and skip slots that move underneath them, so
+/// scraping /debug/requests never blocks a request completion.
 class RequestRing {
  public:
   explicit RequestRing(size_t capacity);

@@ -57,6 +57,9 @@ struct DeterminismCase {
   std::vector<int64_t> w_shape;
 };
 
+// Prints the case name, so test names carry no pointer bytes.
+void PrintTo(const DeterminismCase& c, std::ostream* os) { *os << c.name; }
+
 class ConvDeterminismTest : public ::testing::TestWithParam<DeterminismCase> {
  protected:
   ~ConvDeterminismTest() override { SetNumThreads(0); }

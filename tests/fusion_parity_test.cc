@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,16 +35,6 @@ class FusionParityTest : public ::testing::Test {
     backend::SetBackend(backend::Backend::kFast);
     SetNumThreads(0);
   }
-};
-
-// While alive, a registered no-op hook makes the models skip their
-// model-level sealed schedules on the fast backend (the hooks-active
-// fallback, which lets hooks see every intermediate): CoreCdae runs its
-// eager op chains, and EarlyFusionCdae::EncodeParts materializes the
-// input concat before its encoder. The eager side of each model-level
-// IR-vs-eager comparison runs under it.
-struct EagerModelForward {
-  ag::ScopedHook hook{[](const ag::HookContext&) {}};
 };
 
 bool BitwiseEqual(const Tensor& a, const Tensor& b) {
@@ -288,7 +277,7 @@ TEST_F(FusionParityTest, FusedBitwiseDeterministicAcrossThreadCounts) {
 
 // ---------------------------------------------------------------------------
 // Model-level parity: full CDAE train steps through the sealed graph
-// schedule vs the eager chains.
+// schedule, observed by a hook vs unobserved, and against reference.
 // ---------------------------------------------------------------------------
 
 models::CdaeConfig TinyConfig() {
@@ -341,16 +330,20 @@ std::vector<Tensor> TrainSteps(int steps, uint64_t seed) {
 }
 
 TEST_F(FusionParityTest, CdaeTrainStepsBitwiseEqualSimdAndCloseToReference) {
+  // A registered hook inserts identity observation nodes at every
+  // labeled layer output; the trajectory must not move by one bit.
   backend::SetBackend(backend::Backend::kFast);
-  std::vector<Tensor> simd;
+  std::vector<Tensor> observed;
+  int events = 0;
   {
-    EagerModelForward eager;
-    simd = TrainSteps(3, 77);
+    ag::ScopedHook hook([&](const ag::HookContext&) { ++events; });
+    observed = TrainSteps(3, 77);
   }
+  EXPECT_GT(events, 0);
   const auto fused = TrainSteps(3, 77);
-  ASSERT_EQ(simd.size(), fused.size());
-  for (size_t i = 0; i < simd.size(); ++i) {
-    EXPECT_TRUE(BitwiseEqual(simd[i], fused[i]))
+  ASSERT_EQ(observed.size(), fused.size());
+  for (size_t i = 0; i < observed.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(observed[i], fused[i]))
         << "tensor " << i << " (losses first, then parameters)";
   }
   backend::SetBackend(backend::Backend::kReference);
@@ -434,27 +427,41 @@ TEST_F(FusionParityTest, FuserSkipsMultiUseAndOutputProducers) {
     EXPECT_EQ(ir.fusion_stats().conv_bias_act, 1);
     EXPECT_EQ(ir.materialized_intermediates(), 0);
   }
+  {
+    // A labeled interior node stays (a hook must see it); a labeled
+    // chain terminal fuses in place and keeps its label.
+    nn::GraphIr ir;
+    const int in = ir.AddInput(1);
+    const int c = ir.AddConv(in, 2, conv.weight());
+    const int b = ir.AddBias(c, conv.bias());
+    ir.SetObserve(c, "probe.conv");
+    const int a = ir.AddAct(b, nn::Activation::kRelu);
+    const int c2 = ir.AddConv(a, 2, conv.weight());
+    const int b2 = ir.AddBias(c2, conv.bias());
+    ir.SetObserve(b2, "probe.out");
+    ir.MarkOutput(b2);
+    ir.Seal();
+    EXPECT_EQ(ir.fusion_stats().conv_bias_act, 1);
+    EXPECT_EQ(ir.nodes()[c].op, nn::IrOp::kConv);
+    EXPECT_EQ(ir.nodes()[b2].op, nn::IrOp::kFusedConvBiasAct);
+    EXPECT_EQ(ir.nodes()[b2].observe, "probe.out");
+  }
 }
 
 TEST_F(FusionParityTest, EarlyFusionEncodePartsMatchesEagerBitwiseOnSimd) {
-  models::CdaeConfig config = TinyConfig();
-  std::vector<models::DatasetSpec> specs = TinySpecs();
+  // EncodeParts folds the input concat into the encoder's first conv;
+  // Encode(FuseInputs(...)) materializes it first. Same bits.
   backend::SetBackend(backend::Backend::kFast);
-  const auto run = [&](bool fused_schedule) {
-    std::unique_ptr<EagerModelForward> eager;
-    if (!fused_schedule) eager = std::make_unique<EagerModelForward>();
-    Rng rng(13);
-    models::EarlyFusionCdae model(config, specs, rng);
-    Rng data_rng(14);
-    std::vector<Variable> inputs = {
-        Variable(Tensor::RandomUniform({2, 1, 6}, data_rng), false),
-        Variable(Tensor::RandomUniform({2, 1, 4, 3}, data_rng), false),
-        Variable(Tensor::RandomUniform({2, 2, 4, 3, 6}, data_rng), false)};
-    return model.EncodeParts(inputs).value();
-  };
-  const Tensor eager = run(false);
-  const Tensor fused = run(true);
-  EXPECT_TRUE(BitwiseEqual(eager, fused));
+  Rng rng(13);
+  models::EarlyFusionCdae model(TinyConfig(), TinySpecs(), rng);
+  Rng data_rng(14);
+  const std::vector<Variable> inputs = {
+      Variable(Tensor::RandomUniform({2, 1, 6}, data_rng), false),
+      Variable(Tensor::RandomUniform({2, 1, 4, 3}, data_rng), false),
+      Variable(Tensor::RandomUniform({2, 2, 4, 3, 6}, data_rng), false)};
+  const Tensor parts = model.EncodeParts(inputs).value();
+  const Tensor fused_inputs = model.Encode(model.FuseInputs(inputs)).value();
+  EXPECT_TRUE(BitwiseEqual(parts, fused_inputs));
 }
 
 }  // namespace

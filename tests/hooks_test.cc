@@ -12,8 +12,11 @@
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "models/cdae.h"
+#include "nn/backend_registry.h"
 #include "nn/layers.h"
 #include "util/rng.h"
+#include "util/trace.h"
 
 namespace equitensor {
 namespace ag {
@@ -131,6 +134,82 @@ TEST(HooksTest, UnnamedModulesStaySilent) {
   Variable x(Tensor({1, 1, 4, 4, 6}), /*requires_grad=*/false);
   stack.Forward(x);
   EXPECT_EQ(calls, 0);
+}
+
+// Observation on the shipped schedule: with a hook registered on the
+// fast backend a CoreCdae still runs its sealed fused graph (the
+// concat-folded kernel records its spans), and every conv layer of
+// every stack reports forward and backward under its architectural
+// name, in the order the layers run.
+TEST(HooksTest, CdaeFusedScheduleReportsEveryLayerPoint) {
+  const backend::Backend previous = backend::CurrentBackend();
+  backend::SetBackend(backend::Backend::kFast);
+  models::CdaeConfig config;
+  config.grid_w = 4;
+  config.grid_h = 3;
+  config.window = 6;
+  config.latent_channels = 2;
+  config.encoder_filters = {4, 1};
+  config.shared_filters = {4};
+  config.decoder_filters = {4};
+  const std::vector<models::DatasetSpec> specs = {
+      {"weather", data::DatasetKind::kTemporal, 1},
+      {"streets", data::DatasetKind::kSpatial, 1},
+      {"events", data::DatasetKind::kSpatioTemporal, 2}};
+  Rng rng(21);
+  models::CoreCdae model(config, specs, rng);
+  const std::vector<Variable> inputs = {
+      Variable(Tensor::RandomUniform({2, 1, 6}, rng), false),
+      Variable(Tensor::RandomUniform({2, 1, 4, 3}, rng), false),
+      Variable(Tensor::RandomUniform({2, 2, 4, 3, 6}, rng), false)};
+
+  std::vector<std::string> points;
+  ScopedHook hook([&](const HookContext& ctx) {
+    points.push_back(std::string(HookPhaseName(ctx.phase)) + " " + ctx.point);
+  });
+  ResetTraceStatsForTesting();
+  SetTracingEnabled(true);
+  const std::vector<Variable> recons =
+      model.Decode(model.Encode(inputs), Variable());
+  Variable total = SumAll(recons[0]);
+  for (size_t i = 1; i < recons.size(); ++i) {
+    total = Add(total, SumAll(recons[i]));
+  }
+  Backward(total);
+  SetTracingEnabled(false);
+  const std::vector<TraceStats> stats = CollectTraceStats();
+  ResetTraceStatsForTesting();
+  backend::SetBackend(previous);
+
+  // The names mirror NamedParameters (sentinel trips point at them);
+  // backward reports in exact reverse of forward.
+  const std::vector<std::string> expected = {
+      "forward cdae.enc0.conv0",    "forward cdae.enc0.conv1",
+      "forward cdae.enc1.conv0",    "forward cdae.enc1.conv1",
+      "forward cdae.enc2.conv0",    "forward cdae.enc2.conv1",
+      "forward cdae.shared.conv0",  "forward cdae.shared.conv1",
+      "forward cdae.dec0.conv0",    "forward cdae.dec0.conv1",
+      "forward cdae.dec1.conv0",    "forward cdae.dec1.conv1",
+      "forward cdae.dec2.conv0",    "forward cdae.dec2.conv1",
+      "backward cdae.dec2.conv1",   "backward cdae.dec2.conv0",
+      "backward cdae.dec1.conv1",   "backward cdae.dec1.conv0",
+      "backward cdae.dec0.conv1",   "backward cdae.dec0.conv0",
+      "backward cdae.shared.conv1", "backward cdae.shared.conv0",
+      "backward cdae.enc2.conv1",   "backward cdae.enc2.conv0",
+      "backward cdae.enc1.conv1",   "backward cdae.enc1.conv0",
+      "backward cdae.enc0.conv1",   "backward cdae.enc0.conv0"};
+  EXPECT_EQ(points, expected);
+
+  if (TraceCompiledIn()) {
+    for (const char* span : {"concat_conv_bias_act.fwd.fast",
+                             "concat_conv_bias_act.bwd.fast"}) {
+      uint64_t count = 0;
+      for (const TraceStats& s : stats) {
+        if (s.name == span) count = s.count;
+      }
+      EXPECT_EQ(count, 1u) << span;
+    }
+  }
 }
 
 }  // namespace

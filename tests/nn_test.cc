@@ -39,9 +39,9 @@ TEST(LinearTest, ParameterCount) {
 
 TEST(ConvLayerTest, ShapesAcrossRanks) {
   Rng rng(4);
-  nn::Conv c1(1, 2, 5, 3, rng);
-  nn::Conv c2(2, 2, 5, 3, rng);
-  nn::Conv c3(3, 2, 5, 3, rng);
+  nn::ConvStack c1(1, 2, {5}, 3, rng);
+  nn::ConvStack c2(2, 2, {5}, 3, rng);
+  nn::ConvStack c3(3, 2, {5}, 3, rng);
   Variable x1(Tensor({1, 2, 8}), false);
   Variable x2(Tensor({1, 2, 4, 6}), false);
   Variable x3(Tensor({1, 2, 4, 6, 8}), false);
